@@ -27,7 +27,7 @@ from .combinatorics import (
     weyl_dim,
 )
 from .hopf import SYM
-from .presentations import FunctorSpec, block_result
+from .presentations import FunctorSpec, block_result, remember_block
 
 VIOLATION = "VIOLATION"
 
@@ -88,8 +88,7 @@ class Decomposition:
 
 def _block_job(args):
     spec, weight, reverse, cache_dir = args
-    result = block_result(spec, weight, reverse=reverse, cache_dir=cache_dir)
-    return weight, result
+    return block_result(spec, weight, reverse=reverse, cache_dir=cache_dir)
 
 
 def decompose(
@@ -114,9 +113,12 @@ def decompose(
     if jobs > 1 and len(jobs_args) > 1:
         with multiprocessing.Pool(jobs) as pool:
             outcomes = pool.map(_block_job, jobs_args)
+        # a worker's memory cache dies with it; keep its results here
+        for (_, weight, _, _), result in zip(jobs_args, outcomes):
+            remember_block(wspec, weight, reverse, result)
     else:
         outcomes = [_block_job(a) for a in jobs_args]
-    weight_dims = {lam: res.quotient_dim for lam, (_, res) in zip(parts, outcomes)}
+    weight_dims = {lam: res.quotient_dim for lam, res in zip(parts, outcomes)}
 
     entries: dict = {}
     for lam in parts:

@@ -34,13 +34,6 @@ def add_into(vec: dict, key, coeff) -> None:
         vec.pop(key, None)
 
 
-def vec_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        add_into(out, k, -c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _sym_coproduct(elem):
     ranges = [range(e + 1) for e in elem]
@@ -121,10 +114,6 @@ class HopfAlgebra:
         if self.kind == SYM:
             return (-1) ** sum(x), x
         return (-1) ** len(x), tuple(reversed(x))
-
-    def antipode_vector(self, x) -> dict:
-        sign, elem = self.antipode(x)
-        return {elem: sign}
 
     def counit(self, x) -> int:
         return 1 if self.degree(x) == 0 else 0

@@ -5,12 +5,15 @@ A FunctorSpec picks one of two families ("H", the finer quotient, or
 each weight this module materializes the relation rows inside the
 corresponding block of H^(x)rank and reports the quotient dimension.
 
-Rank 1 quotients by commutators and the antipode-symmetric part; rank 2
-relations are written out elementwise in Sweedler form; rank 3 relations
-are words in the slot operators of tensorspace, applied on the right
-(left to right).  Conjugation-defect rows from bar_relation_rows are
-always included, so every quotient is really a quotient of the reduced
-tensor power.
+Every presentation, ranks 1 to 3, is one entry of RELATIONS: formal
+sums of words in the slot operators of tensorspace, applied on the right
+(left to right) to each basis tuple of the block.  An entry holds
+convention words, the rank-3 operators whose composition order the
+`reverse` flag flips, and elementwise families (antipode, swap, unit-slot
+and coproduct relations), which are never reversed.  Conjugation-defect
+rows from bar_relation_rows are always included, so every quotient is
+really a quotient of the reduced tensor power; for the tensor algebra
+they also carry the commutators of rank 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .tensorspace import (
     apply_expr,
     bar_relation_rows,
     block_index,
-    coproduct_into,
     tensor_basis,
 )
 from .version import engine_version
@@ -44,6 +46,9 @@ _SW02 = ("swap", 0, 2)
 _SW12 = ("swap", 1, 2)
 _E = ("E",)
 _F = ("F",)
+_U0 = ("U", 0)
+_U1 = ("U", 1)
+_ID = (1, ())
 
 # The six rank-3 relation operators for the finer quotient, as formal
 # sums of words.  Words act left to right: (u, v) means u then v.
@@ -76,7 +81,7 @@ RANK3_H_EXPRS = (
 )
 
 # The coarser rank-3 quotient keeps operators 1, 2 and 6 and adds two
-# elementwise relation families built in _rank3_omega_extra_rows.
+# elementwise relation families (see RELATIONS).
 RANK3_OMEGA_EXPRS = (RANK3_H_EXPRS[0], RANK3_H_EXPRS[1], RANK3_H_EXPRS[5])
 
 # Specializations for the finer rank-3 quotient of Sym, split by the
@@ -103,6 +108,38 @@ SYM_ODD_EXPRS = (
         (-1, (_S0, _F, _SW02)),
     ),
 )
+
+
+_ANTIPODE = (_ID, (1, (_S0,)))
+_SWAP = (_ID, (-1, (_SW01,)))
+# 1 (x) a (x) b  ->  1 (x) a (x) b + 1 (x) b (x) a
+_UNIT_SLOT_SYMMETRY = ((1, (_U0,)), (1, (_U0, _SW12)))
+# a (x) 1 (x) b  ->  a (x) Delta(b), by cocommutativity
+_COPRODUCT_IMAGE = ((1, (_U1, _SW02, _E, _SW02)),)
+
+# (functor, rank, parity) -> (convention words, elementwise families).
+# Both functors coincide in rank 1.
+RELATIONS = {
+    (H_FUNCTOR, 1, "none"): ((), (_ANTIPODE,)),
+    (OMEGA_FUNCTOR, 1, "none"): ((), (_ANTIPODE,)),
+    (H_FUNCTOR, 2, "none"): (
+        (),
+        (_SWAP, _ANTIPODE, (_ID, (1, (_S0, _E, _SW01)), (1, (_SW01, _S0, _E)))),
+    ),
+    (OMEGA_FUNCTOR, 2, "none"): (
+        (),
+        (
+            _SWAP,
+            (_ID, (-1, (_S0, _S1))),
+            ((1, (_U0,)),),
+            (_ID, (1, (_SW01, _S0, _F)), (1, (_S0, _F, _SW01))),
+        ),
+    ),
+    (H_FUNCTOR, 3, "none"): (RANK3_H_EXPRS, ()),
+    (OMEGA_FUNCTOR, 3, "none"): (RANK3_OMEGA_EXPRS, (_UNIT_SLOT_SYMMETRY, _COPRODUCT_IMAGE)),
+    (H_FUNCTOR, 3, "even"): (SYM_EVEN_EXPRS, ()),
+    (H_FUNCTOR, 3, "odd"): (SYM_ODD_EXPRS, ()),
+}
 
 
 @dataclass(frozen=True)
@@ -132,113 +169,28 @@ class FunctorSpec:
         return f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}|{self.parity}"
 
 
-def _antipode_pair_row(H, a, b):
-    sign, sa = H.antipode(a)
-    row = {(a, b): 1}
-    add_into(row, (sa, b), sign)
-    return row
-
-
-def _rank1_rows(H, basis):
-    rows = []
-    for (x,) in basis:
-        sign, sx = H.antipode(x)
-        row = {(x,): 1}
-        add_into(row, (sx,), sign)
-        if row:
-            rows.append(row)
-    return rows
-
-
-def _rank2_h_rows(H, basis):
-    rows = []
-    for a, b in basis:
-        rows.append({(a, b): 1, (b, a): -1} if a != b else {})
-        rows.append(_antipode_pair_row(H, a, b))
-        row = {(a, b): 1}
-        for a1, a2, coeff in H.coproduct(a):
-            s1, e1 = H.antipode(a1)
-            s2, e2 = H.antipode(a2)
-            add_into(row, (H.product(e1, b), e2), coeff * s1 * s2)
-        for b1, b2, coeff in H.coproduct(b):
-            s1, e1 = H.antipode(b1)
-            s2, e2 = H.antipode(b2)
-            add_into(row, (e1, H.product(e2, a)), coeff * s1 * s2)
-        rows.append(row)
-    return rows
-
-
-def _rank2_omega_rows(H, basis):
-    rows = []
-    for a, b in basis:
-        if a != b:
-            rows.append({(a, b): 1, (b, a): -1})
-        sign_a, sa = H.antipode(a)
-        sign_b, sb = H.antipode(b)
-        row = {(a, b): 1}
-        add_into(row, (sa, sb), -sign_a * sign_b)
-        rows.append(row)
-        if H.degree(a) == 0:
-            rows.append({(a, b): 1})
-        row = {(a, b): 1}
-        for a1, a2, coeff in H.coproduct(a):
-            add_into(row, (H.product(sb, a1), a2), coeff * sign_b)
-        for b1, b2, coeff in H.coproduct(b):
-            add_into(row, (b1, H.product(sa, b2)), coeff * sign_a)
-        rows.append(row)
-    return rows
-
-
-def _rank3_omega_extra_rows(H, weight):
-    """The two elementwise relation families of the coarser rank-3
-    quotient: unit-slot symmetrization and coproduct images."""
-    rows = []
-    one = H.one
-    pair_basis = tensor_basis(H, 2, weight)
-    for a, b in pair_basis:
-        row = {(one, a, b): 1}
-        add_into(row, (one, b, a), 1)
-        rows.append(row)
-    for x, y in pair_basis:
-        rows.append(coproduct_into(H, (x, y), 1))
-    return rows
-
-
 def relation_rows(spec: FunctorSpec, weight, reverse: bool = False):
     """Materialize the relation rows for one weight block.
 
     Returns (basis, rows) where rows are integer dict-vectors over the
-    block tuples.  reverse=True composes operator words in the opposite
-    order; see tensorspace.
+    block tuples: the conjugation-defect rows, then, basis tuple by
+    basis tuple, the nonzero images of the spec's relations.
+    reverse=True composes the convention words in the opposite order;
+    see tensorspace.
     """
     H = spec.hopf
-    n = spec.rank
     weight = tuple(weight)
-    basis = tensor_basis(H, n, weight)
-    rows = list(bar_relation_rows(H, n, weight))
-    if spec.rank == 1:
-        # both functors coincide in rank 1
-        rows.extend(_rank1_rows(H, basis))
-        return basis, rows
-    if spec.rank == 2:
-        builder = _rank2_h_rows if spec.functor == H_FUNCTOR else _rank2_omega_rows
-        rows.extend(builder(H, basis))
-        return basis, rows
-    # rank 3
-    if spec.parity != "none":
-        total = sum(weight)
-        if total % 2 != (0 if spec.parity == "even" else 1):
-            raise ValueError(f"weight {weight} has the wrong parity for {spec.parity!r}")
-        exprs = SYM_EVEN_EXPRS if spec.parity == "even" else SYM_ODD_EXPRS
-    elif spec.functor == H_FUNCTOR:
-        exprs = RANK3_H_EXPRS
-    else:
-        exprs = RANK3_OMEGA_EXPRS
-    for expr in exprs:
-        for t in basis:
-            rows.append(apply_expr(H, expr, t, reverse=reverse))
-    if spec.rank == 3 and spec.functor == OMEGA_FUNCTOR and spec.parity == "none":
-        rows.extend(_rank3_omega_extra_rows(H, weight))
+    if spec.parity != "none" and sum(weight) % 2 != (spec.parity == "odd"):
+        raise ValueError(f"weight {weight} has the wrong parity for {spec.parity!r}")
+    words, families = RELATIONS[(spec.functor, spec.rank, spec.parity)]
+    exprs = [(expr, reverse) for expr in words] + [(expr, False) for expr in families]
+    basis = tensor_basis(H, spec.rank, weight)
+    rows = list(bar_relation_rows(H, spec.rank, weight))
+    for t in basis:
+        for expr, rev in exprs:
+            row = apply_expr(H, expr, t, reverse=rev)
+            if row:
+                rows.append(row)
     return basis, rows
 
 
@@ -275,9 +227,49 @@ def compute_block(spec: FunctorSpec, weight, reverse: bool = False) -> BlockResu
     return BlockResult(tuple(weight), len(basis), mat.rank())
 
 
+def _spec_record(spec: FunctorSpec, reverse: bool) -> dict:
+    return {
+        "functor": spec.functor,
+        "rank": spec.rank,
+        "hopf": spec.hopf.kind,
+        "num_vars": spec.hopf.num_vars,
+        "parity": spec.parity,
+        "convention": "rl" if reverse else "lr",
+    }
+
+
+def _read_record(path, spec: FunctorSpec, weight, reverse: bool):
+    """The result a disk-cache file holds for this block, or None when
+    the file is missing, unreadable, stale, malformed or about another
+    block."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(record, dict):
+        return None
+    dims = [record.get(field) for field in ("ambient_dim", "rank", "quotient_dim")]
+    if (
+        record.get("engine_version_hash") != engine_version()
+        or record.get("spec") != _spec_record(spec, reverse)
+        or record.get("weight") != list(weight)
+        or any(type(value) is not int for value in dims)
+    ):
+        return None
+    return BlockResult(tuple(weight), dims[0], dims[1])
+
+
+def remember_block(spec: FunctorSpec, weight, reverse: bool, result: BlockResult) -> None:
+    """Put a result computed elsewhere, e.g. in a pool worker, in the
+    in-memory cache."""
+    _MEM_CACHE[_cache_token(spec, weight, reverse)] = result
+
+
 def block_result(spec: FunctorSpec, weight, reverse: bool = False, cache_dir=None) -> BlockResult:
     """compute_block with an in-memory cache (last writer wins) and an
-    optional on-disk cache keyed by content and engine version."""
+    optional on-disk cache keyed by content and engine version.  A disk
+    record that does not check out is a cache miss."""
     token = _cache_token(spec, weight, reverse)
     hit = _MEM_CACHE.get(token)
     if hit is not None:
@@ -285,27 +277,15 @@ def block_result(spec: FunctorSpec, weight, reverse: bool = False, cache_dir=Non
     path = None
     if cache_dir:
         path = _cache_path(cache_dir, token)
-        try:
-            with open(path) as fh:
-                record = json.load(fh)
-            if record.get("engine_version_hash") == engine_version():
-                result = BlockResult(tuple(record["weight"]), record["ambient_dim"], record["rank"])
-                _MEM_CACHE[token] = result
-                return result
-        except (OSError, ValueError, KeyError):
-            pass
+        result = _read_record(path, spec, weight, reverse)
+        if result is not None:
+            _MEM_CACHE[token] = result
+            return result
     result = compute_block(spec, weight, reverse=reverse)
     _MEM_CACHE[token] = result
     if path is not None:
         record = {
-            "spec": {
-                "functor": spec.functor,
-                "rank": spec.rank,
-                "hopf": spec.hopf.kind,
-                "num_vars": spec.hopf.num_vars,
-                "parity": spec.parity,
-                "convention": "rl" if reverse else "lr",
-            },
+            "spec": _spec_record(spec, reverse),
             "weight": list(result.weight),
             "ambient_dim": result.ambient_dim,
             "rank": result.rank,

@@ -6,12 +6,16 @@ combinations of composable atoms:
 
     ('swap', i, j)   exchange slots i and j
     ('S', i)         antipode in slot i
+    ('U', i)         keep a tuple whose slot i is the unit, drop any other
     ('E',)           split slot 0, multiply one leg onto slot 1 from the left
     ('F',)           split slot 1, multiply one leg onto slot 0 from the right
     ('gamma',)       two-slot twist  a (x) b  ->  S(b_1) (x) a S(b_2)
     ('tau',)         two-slot swap
     ('delta',)       antipode in slot 0 only
     ('s',)           a (x) b -> S(b) (x) a
+
+E and F act on slots 0 and 1 of a tuple of any length; later slots
+pass through unchanged.
 
 An operator word is a tuple of atoms, applied to a vector left to
 right: the word (u, v) means "apply u, then v".  Passing
@@ -65,21 +69,19 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         lst = list(t)
         lst[i] = elem
         return {tuple(lst): sign}
+    if kind == "U":
+        return {t: 1} if H.degree(t[atom[1]]) == 0 else {}
+    # distinct coproduct terms give distinct tuples, as both products
+    # are cancellative, so E and F never merge or cancel terms
     if kind == "E":
-        a, b, c = t
-        out: dict = {}
-        for a1, a2, coeff in H.coproduct(a):
-            add_into(out, (a1, H.product(a2, b), c), coeff)
-        return out
+        a, b, rest = t[0], t[1], t[2:]
+        return {(a1, H.product(a2, b)) + rest: coeff for a1, a2, coeff in H.coproduct(a)}
     if kind == "F":
-        a, b, c = t
-        out = {}
-        for b1, b2, coeff in H.coproduct(b):
-            add_into(out, (H.product(a, b1), b2, c), coeff)
-        return out
+        a, b, rest = t[0], t[1], t[2:]
+        return {(H.product(a, b1), b2) + rest: coeff for b1, b2, coeff in H.coproduct(b)}
     if kind == "gamma":
         a, b = t
-        out = {}
+        out: dict = {}
         for b1, b2, coeff in H.coproduct(b):
             s1, e1 = H.antipode(b1)
             s2, e2 = H.antipode(b2)
@@ -103,11 +105,19 @@ def apply_word(H: HopfAlgebra, word: tuple, t: tuple, reverse: bool = False) -> 
     current = {t: 1}
     atoms = reversed(word) if reverse else word
     for atom in atoms:
+        if len(current) == 1:
+            # swaps, antipodes and unit filters keep a single term; apply_atom
+            # returns a fresh dict, so it can be used as it is
+            ((tup, c),) = current.items()
+            current = apply_atom(H, atom, tup)
+            if c != 1:
+                current = {tup2: c * c2 for tup2, c2 in current.items()}
+            continue
         nxt: dict = {}
         for tup, c in current.items():
             for tup2, c2 in apply_atom(H, atom, tup).items():
-                add_into(nxt, tup2, c * c2)
-        current = nxt
+                nxt[tup2] = nxt.get(tup2, 0) + c * c2
+        current = {tup: c for tup, c in nxt.items() if c}
     return current
 
 
@@ -116,8 +126,8 @@ def apply_expr(H: HopfAlgebra, expr, t: tuple, reverse: bool = False) -> dict:
     out: dict = {}
     for coeff, word in expr:
         for tup, c in apply_word(H, word, t, reverse=reverse).items():
-            add_into(out, tup, coeff * c)
-    return out
+            out[tup] = out.get(tup, 0) + coeff * c
+    return {tup: c for tup, c in out.items() if c}
 
 
 def coproduct_into(H: HopfAlgebra, t: tuple, slot: int) -> dict:

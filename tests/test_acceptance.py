@@ -8,6 +8,7 @@ expectations come from combinatorics.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -33,7 +34,7 @@ from hopfquotients.presentations import (
 from hopfquotients.tables import load_expected, verify_against
 from hopfquotients.tensorspace import apply_word, block_index, tensor_basis
 
-JOBS = 4
+JOBS = min(4, os.cpu_count() or 1)
 
 
 @contextmanager

@@ -12,6 +12,7 @@ from hopfquotients.decompose import (
     verify_bounds,
     weight_orbit_size,
 )
+from hopfquotients import presentations
 from hopfquotients.presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec
 
 
@@ -125,6 +126,18 @@ class TestDecompositionShape:
         parallel = decompose(s, 5, jobs=2)
         assert serial.entries == parallel.entries
         assert serial.weight_dims == parallel.weight_dims
+
+    def test_pool_results_reach_the_parent_cache(self, monkeypatch):
+        presentations._MEM_CACHE.clear()
+        s = spec(H_FUNCTOR, 2, TENSOR)
+        first = decompose(s, 4, jobs=2)
+
+        def boom(*a, **k):
+            raise AssertionError("should have come from the memory cache")
+
+        monkeypatch.setattr(presentations, "compute_block", boom)
+        again = decompose(s, 4, jobs=2)
+        assert again.weight_dims == first.weight_dims
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra, add_into, vec_sub
+from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra, add_into
 
 
 def all_elements(H, max_deg):
@@ -215,9 +215,6 @@ class TestVectorHelpers:
         add_into(v, "b", 2)
         add_into(v, "b", 5)
         assert v == {"b": 7}
-
-    def test_vec_sub(self):
-        assert vec_sub({"a": 2, "b": 1}, {"a": 2, "c": 4}) == {"b": 1, "c": -4}
 
 
 class TestValidation:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from hopfquotients.combinatorics import cusp_dim, mf_dim
+from hopfquotients.exactla import SparseMatrix
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients import presentations
 from hopfquotients.presentations import (
@@ -17,6 +19,7 @@ from hopfquotients.presentations import (
     quotient_dim,
     relation_rows,
 )
+from hopfquotients.tensorspace import block_index
 
 
 def spec(functor, rank, kind, m, parity="none"):
@@ -163,6 +166,30 @@ class TestCaching:
         fresh = block_result(s, (3, 1), cache_dir=str(tmp_path))
         assert fresh.rank != 12345
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda record: [record],
+            lambda record: {**record, "weight": 5},
+            lambda record: {**record, "weight": [1, 3]},
+            lambda record: {**record, "rank": "x"},
+            lambda record: {**record, "rank": None},
+            lambda record: {**record, "ambient_dim": 4.0},
+            # a wrong rank too, so that accepting the record would show
+            lambda record: {**record, "spec": {**record["spec"], "functor": "Omega"}, "rank": 0},
+            lambda record: {**record, "spec": None, "rank": 0},
+        ],
+        ids=["list", "weight-int", "other-weight", "rank-str", "rank-null", "dim-float",
+             "other-spec", "spec-null"],
+    )
+    def test_malformed_record_is_a_miss(self, tmp_path, mangle):
+        s = spec(H_FUNCTOR, 2, SYM, 2)
+        first = block_result(s, (3, 1), cache_dir=str(tmp_path))
+        path = tmp_path / os.listdir(tmp_path)[0]
+        path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
+        presentations._MEM_CACHE.clear()
+        assert block_result(s, (3, 1), cache_dir=str(tmp_path)) == first
+
     def test_memory_cache_hit(self):
         s = spec(H_FUNCTOR, 2, SYM, 2)
         a = block_result(s, (2, 2))
@@ -176,6 +203,72 @@ class TestCaching:
         assert lr.ambient_dim == rl.ambient_dim
         # different convention, different quotient on this block
         assert lr.rank != rl.rank
+
+
+def row_set_digest(s, weight, reverse=False):
+    """sha256 of the sorted set of normalized nonzero relation rows, as
+    the block's matrix holds them before elimination."""
+    basis, rows = relation_rows(s, weight, reverse=reverse)
+    index = block_index(basis)
+    mat = SparseMatrix(len(basis))
+    for row in rows:
+        mat.add_row({index[t]: c for t, c in row.items()})
+    keys = sorted(tuple(sorted(row.items())) for row in mat.rows)
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+class TestRowGolden:
+    """One mid-size block per (functor, rank, hopf) and per parity
+    specialization, both conventions at rank 3: the digests pin every
+    presentation's row set, so a changed relation shows here."""
+
+    @pytest.mark.parametrize(
+        "functor, rank, kind, m, parity, weight, reverse, digest",
+        [
+            (H_FUNCTOR, 1, SYM, 2, "none", (4, 2), False,
+             "f5e5441ac66855177e23ba6802804d05ca4f3a9487456a8a77d2f1369f176ae5"),
+            (H_FUNCTOR, 1, TENSOR, 3, "none", (2, 1, 1), False,
+             "c08fcc86e26a868519c5acb37b14d5831591e61a54dd8b1f00755266ec80ea09"),
+            (H_FUNCTOR, 2, SYM, 2, "none", (4, 2), False,
+             "181b07aa69d4ebb44fa678e788aa49cd2a6dc4cfc99769e3bebf9594786d1bef"),
+            (H_FUNCTOR, 2, TENSOR, 3, "none", (2, 1, 1), False,
+             "24a139d58d9d7432b674518f51885d657203fec02dc7559ad71a3d38183d0384"),
+            (H_FUNCTOR, 3, SYM, 3, "none", (3, 2, 1), False,
+             "6cd20f88bf9530f3530388aef0af35ccc892255f0755abe17b5d958fbfeedbf5"),
+            (H_FUNCTOR, 3, SYM, 3, "none", (3, 2, 1), True,
+             "3558a55d7f25a8d2d73a98fda73a523b1471b44b28cbbd3485f82a54989c74c7"),
+            (H_FUNCTOR, 3, TENSOR, 3, "none", (2, 1, 1), False,
+             "11536809e21aa382ad9ab602746c252d87d1394fa4a5bbd953d87fe21b1f6fb7"),
+            (H_FUNCTOR, 3, TENSOR, 3, "none", (2, 1, 1), True,
+             "7ecb57a7da481bc6c760557b4b59ae871d4f272d670bcac16a926720fc1f7e41"),
+            (OMEGA_FUNCTOR, 1, SYM, 2, "none", (4, 2), False,
+             "f5e5441ac66855177e23ba6802804d05ca4f3a9487456a8a77d2f1369f176ae5"),
+            (OMEGA_FUNCTOR, 1, TENSOR, 3, "none", (2, 1, 1), False,
+             "c08fcc86e26a868519c5acb37b14d5831591e61a54dd8b1f00755266ec80ea09"),
+            (OMEGA_FUNCTOR, 2, SYM, 2, "none", (4, 2), False,
+             "e0de6e5f09981e9bce62f527184344a0db9e07d1b29702441bd39775fd59bf18"),
+            (OMEGA_FUNCTOR, 2, TENSOR, 3, "none", (2, 1, 1), False,
+             "6717d6c953d579630eb3579d858e9aad529f984f852c3e24424b8e7bd5135670"),
+            (OMEGA_FUNCTOR, 3, SYM, 3, "none", (3, 2, 1), False,
+             "bcc6cf059583e43858abd3358086fb8c7d7ab1e166a13f30254e966cf7f5788d"),
+            (OMEGA_FUNCTOR, 3, SYM, 3, "none", (3, 2, 1), True,
+             "4412b4004462536d202bb34277f14542b64f17be78a2a23f5b0c644fcf17e0cb"),
+            (OMEGA_FUNCTOR, 3, TENSOR, 3, "none", (2, 1, 1), False,
+             "1bba887f2bafc5db598d289e18c7ef2c63e1dc379d6a157b46edc68e8b9fd0eb"),
+            (OMEGA_FUNCTOR, 3, TENSOR, 3, "none", (2, 1, 1), True,
+             "2b57522c0efeafd6c9927dd88512685353e428d6622b46d51f55748ae87cd1af"),
+            (H_FUNCTOR, 3, SYM, 3, "even", (2, 2, 2), False,
+             "e8c3f227d02a5da68964f6d694d690bc4180f24174cfe87c546e949140c6719f"),
+            (H_FUNCTOR, 3, SYM, 3, "even", (2, 2, 2), True,
+             "e8c3f227d02a5da68964f6d694d690bc4180f24174cfe87c546e949140c6719f"),
+            (H_FUNCTOR, 3, SYM, 3, "odd", (3, 2, 2), False,
+             "881ac610168c22ad380e0bd64baf0e2f4c4c252ad7f0bd193261e63b27f1d7f7"),
+            (H_FUNCTOR, 3, SYM, 3, "odd", (3, 2, 2), True,
+             "d942458d790d100c14de006118d1755dd418c6583a183164a9ee06dc03b374ee"),
+        ],
+    )
+    def test_row_set_digest(self, functor, rank, kind, m, parity, weight, reverse, digest):
+        assert row_set_digest(spec(functor, rank, kind, m, parity), weight, reverse) == digest
 
 
 class TestArithmeticGroupCohomology:

@@ -101,6 +101,23 @@ class TestExplicitActions:
             ((0, 0, 1), (), ()): 1,
         }
 
+    def test_split_ignores_later_slots(self):
+        # E and F touch slots 0 and 1 only, whatever the tuple length
+        for H in (SYM2, TEN2):
+            for a, b, c in tensor_basis(H, 3, (2, 1)):
+                for atom in (("E",), ("F",)):
+                    pair = apply_atom(H, atom, (a, b))
+                    assert apply_atom(H, atom, (a, b, c)) == {k + (c,): v for k, v in pair.items()}
+                    assert apply_atom(H, atom, (a, b, c, c)) == {k + (c, c): v for k, v in pair.items()}
+
+    def test_unit_slot_filter(self):
+        t = ((0, 0), (1, 0), (0, 0))
+        assert apply_atom(SYM2, ("U", 0), t) == {t: 1}
+        assert apply_atom(SYM2, ("U", 1), t) == {}
+        assert apply_atom(SYM2, ("U", 2), t) == {t: 1}
+        assert apply_atom(TEN2, ("U", 1), ((0,), (), (1,))) == {((0,), (), (1,)): 1}
+        assert apply_atom(TEN2, ("U", 0), ((0,), (), (1,))) == {}
+
     def test_twist_on_generators(self):
         # gamma(x (x) y) = -1 (x) xy - y (x) x
         got = apply_atom(SYM2, ("gamma",), ((1, 0), (0, 1)))
