@@ -6,7 +6,8 @@ Three subcommands, all emitting canonical JSON on stdout:
   verify    recompute table entries and diff against expectations
   bounds    compare computed multiplicities with the closed formulas
 
-Exit codes: 0 success, 1 verification mismatch or bound violation,
+Exit codes: 0 success, 1 verification mismatch, bound violation or
+block dimensions that fail the Kostka/Weyl reconstruction identity,
 2 bad usage or unreadable input.
 """
 
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .decompose import decompose, default_num_vars, verify_bounds
+from .decompose import InconsistentBlockTableError, decompose, verify_bounds
 from .hopf import HopfAlgebra
 from .presentations import FunctorSpec
 from .tables import load_expected, verify_against
@@ -134,6 +135,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InconsistentBlockTableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .combinatorics import (
     weyl_dim,
 )
 from .hopf import SYM
-from .presentations import FunctorSpec, block_result, remember_block
+from .presentations import FunctorSpec, block_result, in_memory, remember_block
 
 VIOLATION = "VIOLATION"
 
@@ -87,8 +87,8 @@ class Decomposition:
 
 
 def _block_job(args):
-    spec, weight, reverse, cache_dir = args
-    return block_result(spec, weight, reverse=reverse, cache_dir=cache_dir)
+    spec, weight, cache_dir = args
+    return block_result(spec, weight, cache_dir=cache_dir)
 
 
 def decompose(
@@ -97,7 +97,6 @@ def decompose(
     num_vars: int | None = None,
     jobs: int = 1,
     cache_dir=None,
-    reverse: bool = False,
 ) -> Decomposition:
     """Decompose one graded piece of the chosen functor.
 
@@ -109,15 +108,15 @@ def decompose(
     m = num_vars if num_vars is not None else default_num_vars(spec, degree)
     wspec = spec.with_num_vars(m)
     parts = partitions_of(degree, m)
-    jobs_args = [(wspec, pad_weight(lam, m), reverse, cache_dir) for lam in parts]
-    if jobs > 1 and len(jobs_args) > 1:
+    jobs_args = [(wspec, pad_weight(lam, m), cache_dir) for lam in parts]
+    misses = [a for a in jobs_args if not in_memory(wspec, a[1])]
+    if jobs > 1 and len(misses) > 1:
         with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_block_job, jobs_args)
+            computed = pool.map(_block_job, misses)
         # a worker's memory cache dies with it; keep its results here
-        for (_, weight, _, _), result in zip(jobs_args, outcomes):
-            remember_block(wspec, weight, reverse, result)
-    else:
-        outcomes = [_block_job(a) for a in jobs_args]
+        for (_, weight, _), result in zip(misses, computed):
+            remember_block(wspec, weight, result)
+    outcomes = [_block_job(a) for a in jobs_args]
     weight_dims = {lam: res.quotient_dim for lam, res in zip(parts, outcomes)}
 
     entries: dict = {}

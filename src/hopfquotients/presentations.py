@@ -5,15 +5,12 @@ A FunctorSpec picks one of two families ("H", the finer quotient, or
 each weight this module materializes the relation rows inside the
 corresponding block of H^(x)rank and reports the quotient dimension.
 
-Every presentation, ranks 1 to 3, is one entry of RELATIONS: formal
-sums of words in the slot operators of tensorspace, applied on the right
-(left to right) to each basis tuple of the block.  An entry holds
-convention words, the rank-3 operators whose composition order the
-`reverse` flag flips, and elementwise families (antipode, swap, unit-slot
-and coproduct relations), which are never reversed.  Conjugation-defect
-rows from bar_relation_rows are always included, so every quotient is
-really a quotient of the reduced tensor power; for the tensor algebra
-they also carry the commutators of rank 1.
+Every presentation, ranks 1 to 3, is one entry of RELATIONS: a tuple
+of relations, each a formal sum of words in the slot operators of
+tensorspace, applied on the right (left to right) to each basis tuple
+of the block.  Conjugation-defect rows from bar_relation_rows are always
+included, so every quotient is really a quotient of the reduced tensor
+power; for the tensor algebra they also carry the commutators of rank 1.
 """
 
 from __future__ import annotations
@@ -117,28 +114,26 @@ _UNIT_SLOT_SYMMETRY = ((1, (_U0,)), (1, (_U0, _SW12)))
 # a (x) 1 (x) b  ->  a (x) Delta(b), by cocommutativity
 _COPRODUCT_IMAGE = ((1, (_U1, _SW02, _E, _SW02)),)
 
-# (functor, rank, parity) -> (convention words, elementwise families).
-# Both functors coincide in rank 1.
+# (functor, rank, parity) -> relations, in the order their rows are
+# generated for each basis tuple.  Both functors coincide in rank 1.
 RELATIONS = {
-    (H_FUNCTOR, 1, "none"): ((), (_ANTIPODE,)),
-    (OMEGA_FUNCTOR, 1, "none"): ((), (_ANTIPODE,)),
+    (H_FUNCTOR, 1, "none"): (_ANTIPODE,),
+    (OMEGA_FUNCTOR, 1, "none"): (_ANTIPODE,),
     (H_FUNCTOR, 2, "none"): (
-        (),
-        (_SWAP, _ANTIPODE, (_ID, (1, (_S0, _E, _SW01)), (1, (_SW01, _S0, _E)))),
+        _SWAP,
+        _ANTIPODE,
+        (_ID, (1, (_S0, _E, _SW01)), (1, (_SW01, _S0, _E))),
     ),
     (OMEGA_FUNCTOR, 2, "none"): (
-        (),
-        (
-            _SWAP,
-            (_ID, (-1, (_S0, _S1))),
-            ((1, (_U0,)),),
-            (_ID, (1, (_SW01, _S0, _F)), (1, (_S0, _F, _SW01))),
-        ),
+        _SWAP,
+        (_ID, (-1, (_S0, _S1))),
+        ((1, (_U0,)),),
+        (_ID, (1, (_SW01, _S0, _F)), (1, (_S0, _F, _SW01))),
     ),
-    (H_FUNCTOR, 3, "none"): (RANK3_H_EXPRS, ()),
-    (OMEGA_FUNCTOR, 3, "none"): (RANK3_OMEGA_EXPRS, (_UNIT_SLOT_SYMMETRY, _COPRODUCT_IMAGE)),
-    (H_FUNCTOR, 3, "even"): (SYM_EVEN_EXPRS, ()),
-    (H_FUNCTOR, 3, "odd"): (SYM_ODD_EXPRS, ()),
+    (H_FUNCTOR, 3, "none"): RANK3_H_EXPRS,
+    (OMEGA_FUNCTOR, 3, "none"): RANK3_OMEGA_EXPRS + (_UNIT_SLOT_SYMMETRY, _COPRODUCT_IMAGE),
+    (H_FUNCTOR, 3, "even"): SYM_EVEN_EXPRS,
+    (H_FUNCTOR, 3, "odd"): SYM_ODD_EXPRS,
 }
 
 
@@ -169,26 +164,23 @@ class FunctorSpec:
         return f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}|{self.parity}"
 
 
-def relation_rows(spec: FunctorSpec, weight, reverse: bool = False):
+def relation_rows(spec: FunctorSpec, weight):
     """Materialize the relation rows for one weight block.
 
     Returns (basis, rows) where rows are integer dict-vectors over the
     block tuples: the conjugation-defect rows, then, basis tuple by
     basis tuple, the nonzero images of the spec's relations.
-    reverse=True composes the convention words in the opposite order;
-    see tensorspace.
     """
     H = spec.hopf
     weight = tuple(weight)
     if spec.parity != "none" and sum(weight) % 2 != (spec.parity == "odd"):
         raise ValueError(f"weight {weight} has the wrong parity for {spec.parity!r}")
-    words, families = RELATIONS[(spec.functor, spec.rank, spec.parity)]
-    exprs = [(expr, reverse) for expr in words] + [(expr, False) for expr in families]
+    exprs = RELATIONS[(spec.functor, spec.rank, spec.parity)]
     basis = tensor_basis(H, spec.rank, weight)
     rows = list(bar_relation_rows(H, spec.rank, weight))
     for t in basis:
-        for expr, rev in exprs:
-            row = apply_expr(H, expr, t, reverse=rev)
+        for expr in exprs:
+            row = apply_expr(H, expr, t)
             if row:
                 rows.append(row)
     return basis, rows
@@ -208,9 +200,8 @@ class BlockResult:
 _MEM_CACHE: dict = {}
 
 
-def _cache_token(spec: FunctorSpec, weight, reverse: bool) -> str:
-    tag = "rl" if reverse else "lr"
-    return f"{spec.key()}|{','.join(map(str, weight))}|{tag}"
+def _cache_token(spec: FunctorSpec, weight) -> str:
+    return f"{spec.key()}|{','.join(map(str, weight))}"
 
 
 def _cache_path(cache_dir, token: str):
@@ -218,8 +209,8 @@ def _cache_path(cache_dir, token: str):
     return os.path.join(cache_dir, f"{digest}-{engine_version()}.json")
 
 
-def compute_block(spec: FunctorSpec, weight, reverse: bool = False) -> BlockResult:
-    basis, rows = relation_rows(spec, weight, reverse=reverse)
+def compute_block(spec: FunctorSpec, weight) -> BlockResult:
+    basis, rows = relation_rows(spec, weight)
     mat = SparseMatrix(len(basis))
     index = block_index(basis)
     for row in rows:
@@ -227,18 +218,17 @@ def compute_block(spec: FunctorSpec, weight, reverse: bool = False) -> BlockResu
     return BlockResult(tuple(weight), len(basis), mat.rank())
 
 
-def _spec_record(spec: FunctorSpec, reverse: bool) -> dict:
+def _spec_record(spec: FunctorSpec) -> dict:
     return {
         "functor": spec.functor,
         "rank": spec.rank,
         "hopf": spec.hopf.kind,
         "num_vars": spec.hopf.num_vars,
         "parity": spec.parity,
-        "convention": "rl" if reverse else "lr",
     }
 
 
-def _read_record(path, spec: FunctorSpec, weight, reverse: bool):
+def _read_record(path, spec: FunctorSpec, weight):
     """The result a disk-cache file holds for this block, or None when
     the file is missing, unreadable, stale, malformed or about another
     block."""
@@ -252,7 +242,7 @@ def _read_record(path, spec: FunctorSpec, weight, reverse: bool):
     dims = [record.get(field) for field in ("ambient_dim", "rank", "quotient_dim")]
     if (
         record.get("engine_version_hash") != engine_version()
-        or record.get("spec") != _spec_record(spec, reverse)
+        or record.get("spec") != _spec_record(spec)
         or record.get("weight") != list(weight)
         or any(type(value) is not int for value in dims)
     ):
@@ -260,32 +250,37 @@ def _read_record(path, spec: FunctorSpec, weight, reverse: bool):
     return BlockResult(tuple(weight), dims[0], dims[1])
 
 
-def remember_block(spec: FunctorSpec, weight, reverse: bool, result: BlockResult) -> None:
+def in_memory(spec: FunctorSpec, weight) -> bool:
+    """Whether block_result would answer from the in-memory cache."""
+    return _cache_token(spec, weight) in _MEM_CACHE
+
+
+def remember_block(spec: FunctorSpec, weight, result: BlockResult) -> None:
     """Put a result computed elsewhere, e.g. in a pool worker, in the
     in-memory cache."""
-    _MEM_CACHE[_cache_token(spec, weight, reverse)] = result
+    _MEM_CACHE[_cache_token(spec, weight)] = result
 
 
-def block_result(spec: FunctorSpec, weight, reverse: bool = False, cache_dir=None) -> BlockResult:
+def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
     """compute_block with an in-memory cache (last writer wins) and an
     optional on-disk cache keyed by content and engine version.  A disk
     record that does not check out is a cache miss."""
-    token = _cache_token(spec, weight, reverse)
+    token = _cache_token(spec, weight)
     hit = _MEM_CACHE.get(token)
     if hit is not None:
         return hit
     path = None
     if cache_dir:
         path = _cache_path(cache_dir, token)
-        result = _read_record(path, spec, weight, reverse)
+        result = _read_record(path, spec, weight)
         if result is not None:
             _MEM_CACHE[token] = result
             return result
-    result = compute_block(spec, weight, reverse=reverse)
+    result = compute_block(spec, weight)
     _MEM_CACHE[token] = result
     if path is not None:
         record = {
-            "spec": _spec_record(spec, reverse),
+            "spec": _spec_record(spec),
             "weight": list(result.weight),
             "ambient_dim": result.ambient_dim,
             "rank": result.rank,
@@ -294,14 +289,18 @@ def block_result(spec: FunctorSpec, weight, reverse: bool = False, cache_dir=Non
         }
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(record, fh, sort_keys=True)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(record, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return result
 
 
-def quotient_dim(spec: FunctorSpec, weight, reverse: bool = False, cache_dir=None) -> int:
-    return block_result(spec, weight, reverse=reverse, cache_dir=cache_dir).quotient_dim
+def quotient_dim(spec: FunctorSpec, weight, cache_dir=None) -> int:
+    return block_result(spec, weight, cache_dir=cache_dir).quotient_dim
 
 
 # --- rank 1 cross check ------------------------------------------------

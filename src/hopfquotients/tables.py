@@ -20,6 +20,7 @@ from .version import engine_version
 
 ZERO = "zero"
 UNKNOWN = "unknown"
+_CELL_FIELDS = {"functor": str, "rank": int, "hopf": str, "degree": int}
 
 
 def packaged_table_path():
@@ -33,9 +34,35 @@ def load_expected(path=None) -> dict:
         with open(path) as fh:
             text = fh.read()
     table = json.loads(text)
-    if "entries" not in table:
-        raise ValueError("expected-table file has no entries")
+    if not isinstance(table, dict) or not isinstance(table.get("entries"), list):
+        raise ValueError("expected-table file has no list of entries")
+    for entry in table["entries"]:
+        _check_entry(entry)
     return table
+
+
+def _is_list_of(items, **fields) -> bool:
+    """Whether items is a list of dicts whose fields have the given types."""
+    return isinstance(items, list) and all(
+        isinstance(item, dict) and all(isinstance(item.get(k), t) for k, t in fields.items())
+        for item in items
+    )
+
+
+def _check_entry(entry) -> None:
+    """Raise ValueError unless the entry has the shape verify_against reads."""
+    if not _is_list_of([entry], **_CELL_FIELDS):
+        raise ValueError("table entry needs a str functor and hopf and an int rank and "
+                         f"degree: {entry!r}")
+    cell = {field: entry[field] for field in _CELL_FIELDS}
+    value = entry.get("value")
+    if value not in (ZERO, UNKNOWN) and not (
+        isinstance(value, dict)
+        and _is_list_of(value.get("decomposition"), partition=list, mult=int)
+    ):
+        raise ValueError(f"table entry {cell} has a malformed value: {value!r}")
+    if not _is_list_of(entry.get("flags", []), partition=list):
+        raise ValueError(f"table entry {cell} has malformed flags")
 
 
 def decomposition_to_pairs(value) -> list:
@@ -77,7 +104,7 @@ def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
     new = []
     flagged = []
     for entry in entries_in_scope(table, functor, rank, hopf, max_degree):
-        key = {k: entry[k] for k in ("functor", "rank", "hopf", "degree")}
+        key = {k: entry[k] for k in _CELL_FIELDS}
         computed = _computed_pairs(entry, jobs=jobs, cache_dir=cache_dir)
         if entry["value"] == UNKNOWN:
             new.append({**key, "computed": _pairs_payload(computed)})

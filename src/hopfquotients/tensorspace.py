@@ -9,19 +9,13 @@ combinations of composable atoms:
     ('U', i)         keep a tuple whose slot i is the unit, drop any other
     ('E',)           split slot 0, multiply one leg onto slot 1 from the left
     ('F',)           split slot 1, multiply one leg onto slot 0 from the right
-    ('gamma',)       two-slot twist  a (x) b  ->  S(b_1) (x) a S(b_2)
-    ('tau',)         two-slot swap
-    ('delta',)       antipode in slot 0 only
-    ('s',)           a (x) b -> S(b) (x) a
 
 E and F act on slots 0 and 1 of a tuple of any length; later slots
 pass through unchanged.
 
 An operator word is a tuple of atoms, applied to a vector left to
-right: the word (u, v) means "apply u, then v".  Passing
-reverse=True composes the other way around; that reading exists only
-so the conformance tests can show it is not the one matching the
-published tables.
+right: the word (u, v) means "apply u, then v".  This is the reading
+under which the presentations reproduce the published tables.
 """
 
 from __future__ import annotations
@@ -79,32 +73,12 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
     if kind == "F":
         a, b, rest = t[0], t[1], t[2:]
         return {(H.product(a, b1), b2) + rest: coeff for b1, b2, coeff in H.coproduct(b)}
-    if kind == "gamma":
-        a, b = t
-        out: dict = {}
-        for b1, b2, coeff in H.coproduct(b):
-            s1, e1 = H.antipode(b1)
-            s2, e2 = H.antipode(b2)
-            add_into(out, (e1, H.product(a, e2)), coeff * s1 * s2)
-        return out
-    if kind == "tau":
-        a, b = t
-        return {(b, a): 1}
-    if kind == "delta":
-        a, b = t
-        sign, elem = H.antipode(a)
-        return {(elem, b): sign}
-    if kind == "s":
-        a, b = t
-        sign, elem = H.antipode(b)
-        return {(elem, a): sign}
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def apply_word(H: HopfAlgebra, word: tuple, t: tuple, reverse: bool = False) -> dict:
+def apply_word(H: HopfAlgebra, word: tuple, t: tuple) -> dict:
     current = {t: 1}
-    atoms = reversed(word) if reverse else word
-    for atom in atoms:
+    for atom in word:
         if len(current) == 1:
             # swaps, antipodes and unit filters keep a single term; apply_atom
             # returns a fresh dict, so it can be used as it is
@@ -121,42 +95,13 @@ def apply_word(H: HopfAlgebra, word: tuple, t: tuple, reverse: bool = False) -> 
     return current
 
 
-def apply_expr(H: HopfAlgebra, expr, t: tuple, reverse: bool = False) -> dict:
+def apply_expr(H: HopfAlgebra, expr, t: tuple) -> dict:
     """expr is a list of (coeff, word) pairs; returns expr applied to t."""
     out: dict = {}
     for coeff, word in expr:
-        for tup, c in apply_word(H, word, t, reverse=reverse).items():
+        for tup, c in apply_word(H, word, t).items():
             out[tup] = out.get(tup, 0) + coeff * c
     return {tup: c for tup, c in out.items() if c}
-
-
-def coproduct_into(H: HopfAlgebra, t: tuple, slot: int) -> dict:
-    """Replace entry `slot` of an (n-1)-tuple by its coproduct,
-    yielding a vector over n-tuples."""
-    out: dict = {}
-    head, tail = t[:slot], t[slot + 1 :]
-    for y1, y2, coeff in H.coproduct(t[slot]):
-        add_into(out, head + (y1, y2) + tail, coeff)
-    return out
-
-
-def counit_slot(H: HopfAlgebra, vec: dict, slot: int) -> dict:
-    """Apply the counit in one slot of every tuple of a vector."""
-    out: dict = {}
-    for t, c in vec.items():
-        eps = H.counit(t[slot])
-        if eps:
-            add_into(out, t[:slot] + t[slot + 1 :], c * eps)
-    return out
-
-
-def merge_slots(H: HopfAlgebra, vec: dict, slot: int) -> dict:
-    """Multiply slot and slot+1 together in every tuple of a vector."""
-    out: dict = {}
-    for t, c in vec.items():
-        merged = H.product(t[slot], t[slot + 1])
-        add_into(out, t[:slot] + (merged,) + t[slot + 2 :], c)
-    return out
 
 
 def bar_relation_rows(H: HopfAlgebra, n: int, weight: tuple):

@@ -1,0 +1,117 @@
+"""Reference maps the tests compare the engine against.
+
+The two-slot atoms below (gamma, tau, delta, s) and the slot helpers
+(coproduct_into, counit_slot, merge_slots) are written straight from
+the Hopf structure maps; the engine's relations use none of them.  They
+check the engine's atoms (E and F against merge and counit, swap and
+antipode against tau and delta) and the Hopf identities.
+
+reversed_reading() swaps in the other composition order of the rank-3
+operator words, so a test can show that it is not the one matching the
+published tables.
+"""
+
+from contextlib import contextmanager
+
+import pytest
+
+from hopfquotients import presentations
+from hopfquotients.hopf import add_into
+from hopfquotients.presentations import RANK3_H_EXPRS, SYM_EVEN_EXPRS, SYM_ODD_EXPRS
+from hopfquotients import tensorspace
+
+
+def apply_atom(H, atom, t):
+    """tensorspace.apply_atom, plus four two-slot atoms:
+
+    ('gamma',)   a (x) b  ->  S(b_1) (x) a S(b_2)
+    ('tau',)     a (x) b  ->  b (x) a
+    ('delta',)   a (x) b  ->  S(a) (x) b
+    ('s',)       a (x) b  ->  S(b) (x) a
+    """
+    kind = atom[0]
+    if kind == "gamma":
+        a, b = t
+        out: dict = {}
+        for b1, b2, coeff in H.coproduct(b):
+            s1, e1 = H.antipode(b1)
+            s2, e2 = H.antipode(b2)
+            add_into(out, (e1, H.product(a, e2)), coeff * s1 * s2)
+        return out
+    if kind == "tau":
+        a, b = t
+        return {(b, a): 1}
+    if kind == "delta":
+        a, b = t
+        sign, elem = H.antipode(a)
+        return {(elem, b): sign}
+    if kind == "s":
+        a, b = t
+        sign, elem = H.antipode(b)
+        return {(elem, a): sign}
+    return tensorspace.apply_atom(H, atom, t)
+
+
+def apply_word(H, word, t):
+    """The word's atoms applied left to right, term by term."""
+    current = {t: 1}
+    for atom in word:
+        nxt: dict = {}
+        for tup, c in current.items():
+            for tup2, c2 in apply_atom(H, atom, tup).items():
+                add_into(nxt, tup2, c * c2)
+        current = nxt
+    return current
+
+
+def coproduct_into(H, t, slot):
+    """Replace entry `slot` of an (n-1)-tuple by its coproduct,
+    yielding a vector over n-tuples."""
+    out: dict = {}
+    head, tail = t[:slot], t[slot + 1 :]
+    for y1, y2, coeff in H.coproduct(t[slot]):
+        add_into(out, head + (y1, y2) + tail, coeff)
+    return out
+
+
+def counit_slot(H, vec, slot):
+    """Apply the counit in one slot of every tuple of a vector."""
+    out: dict = {}
+    for t, c in vec.items():
+        eps = H.counit(t[slot])
+        if eps:
+            add_into(out, t[:slot] + t[slot + 1 :], c * eps)
+    return out
+
+
+def merge_slots(H, vec, slot):
+    """Multiply slot and slot+1 together in every tuple of a vector."""
+    out: dict = {}
+    for t, c in vec.items():
+        merged = H.product(t[slot], t[slot + 1])
+        add_into(out, t[:slot] + (merged,) + t[slot + 2 :], c)
+    return out
+
+
+def reversed_relations():
+    """presentations.RELATIONS with every word of the rank-3 operators
+    (RANK3_H_EXPRS and the parity specializations) read right to left;
+    the elementwise families are left as they are."""
+    convention = set(RANK3_H_EXPRS + SYM_EVEN_EXPRS + SYM_ODD_EXPRS)
+
+    def flip(expr):
+        return tuple((c, word[::-1]) for c, word in expr) if expr in convention else expr
+
+    return {key: tuple(map(flip, exprs)) for key, exprs in presentations.RELATIONS.items()}
+
+
+@contextmanager
+def reversed_reading():
+    """Within the block, presentations use reversed_relations().  The
+    memory cache is swapped for an empty one, so reversed results never
+    reach the shared cache; pass no cache_dir inside the block, as disk
+    records do not record the reading."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentations, "RELATIONS", reversed_relations())
+        mp.setattr(presentations, "_MEM_CACHE", {})
+        yield

@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from hopfquotients import cli
+from hopfquotients.decompose import InconsistentBlockTableError
+
 CMD = [sys.executable, "-m", "hopfquotients"]
 
 
@@ -105,6 +110,28 @@ class TestVerify:
         res = run("verify", "--against", str(path))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
+                          "value": {"mult": 1}}]},
+            {"entries": 5},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": "4",
+                          "value": "zero"}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
+                          "value": "zero", "flags": 5}]},
+        ],
+        ids=["no-value", "no-decomposition", "entries-int", "degree-str", "flags-int"],
+    )
+    def test_malformed_table_entries(self, tmp_path, table):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(table))
+        res = run("verify", "--against", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
 
 class TestBounds:
     def test_equalities_exit_zero(self):
@@ -125,6 +152,22 @@ class TestBounds:
     def test_rank_one_rejected_by_parser(self):
         res = run("bounds", "--functor", "H", "--rank", "1", "--degree", "3")
         assert res.returncode == 2
+
+
+class TestFailedReconstruction:
+    def test_inconsistent_blocks_exit_one(self, monkeypatch, capsys):
+        def inconsistent(*a, **k):
+            raise InconsistentBlockTableError("negative multiplicity", {(2,): -1})
+
+        monkeypatch.setattr(cli, "decompose", inconsistent)
+        code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
+                         "--degree", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: negative multiplicity")
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

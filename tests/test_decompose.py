@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -138,6 +140,13 @@ class TestDecompositionShape:
         monkeypatch.setattr(presentations, "compute_block", boom)
         again = decompose(s, 4, jobs=2)
         assert again.weight_dims == first.weight_dims
+
+        def no_pool(*a, **k):
+            raise AssertionError("every block is cached; no pool needed")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        third = decompose(s, 4, jobs=2)
+        assert third.weight_dims == first.weight_dims
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
+from reference_ops import reversed_reading
 from hopfquotients.combinatorics import cusp_dim, mf_dim
 from hopfquotients.exactla import SparseMatrix
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -196,19 +198,20 @@ class TestCaching:
         b = block_result(s, (2, 2))
         assert a is b
 
-    def test_reverse_flag_keyed_separately(self):
-        s = spec(H_FUNCTOR, 3, SYM, 2)
-        lr = block_result(s, (3, 0))
-        rl = block_result(s, (3, 0), reverse=True)
-        assert lr.ambient_dim == rl.ambient_dim
-        # different convention, different quotient on this block
-        assert lr.rank != rl.rank
+    def test_failed_disk_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def full_disk(*a, **k):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(presentations.json, "dump", full_disk)
+        with pytest.raises(OSError, match="no space"):
+            block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
-def row_set_digest(s, weight, reverse=False):
+def row_set_digest(s, weight):
     """sha256 of the sorted set of normalized nonzero relation rows, as
     the block's matrix holds them before elimination."""
-    basis, rows = relation_rows(s, weight, reverse=reverse)
+    basis, rows = relation_rows(s, weight)
     index = block_index(basis)
     mat = SparseMatrix(len(basis))
     for row in rows:
@@ -217,10 +220,21 @@ def row_set_digest(s, weight, reverse=False):
     return hashlib.sha256(repr(keys).encode()).hexdigest()
 
 
+def row_order_digest(s, weight):
+    """sha256 of the packed relation rows in the order they are
+    generated, before normalization and dedup."""
+    basis, rows = relation_rows(s, weight)
+    index = block_index(basis)
+    packed = [sorted((index[t], c) for t, c in row.items()) for row in rows]
+    return hashlib.sha256(repr(packed).encode()).hexdigest()
+
+
 class TestRowGolden:
     """One mid-size block per (functor, rank, hopf) and per parity
-    specialization, both conventions at rank 3: the digests pin every
-    presentation's row set, so a changed relation shows here."""
+    specialization, at rank 3 also under the reversed reading of the
+    operator words: the digests pin every presentation's row set, so a
+    changed relation shows here.  The order digests also pin the order
+    of the rows, which sets the elimination's pivot path and cost."""
 
     @pytest.mark.parametrize(
         "functor, rank, kind, m, parity, weight, reverse, digest",
@@ -268,7 +282,20 @@ class TestRowGolden:
         ],
     )
     def test_row_set_digest(self, functor, rank, kind, m, parity, weight, reverse, digest):
-        assert row_set_digest(spec(functor, rank, kind, m, parity), weight, reverse) == digest
+        with reversed_reading() if reverse else nullcontext():
+            assert row_set_digest(spec(functor, rank, kind, m, parity), weight) == digest
+
+    @pytest.mark.parametrize(
+        "functor, rank, digest",
+        [
+            (H_FUNCTOR, 2, "6364ec4a392d3fdda2d6ef8d54df5f88ce075254524151bd63c24132a577f7e1"),
+            (H_FUNCTOR, 3, "405f99cfe023267b2fe830d4f59ae77cd795ce66f8bb89d627d081bbdcdfd5c9"),
+            (OMEGA_FUNCTOR, 2, "262baf556693b8aecd4db96cfdc9d0c7e480f8e3a1f6c74dfd1a4f9c5fb8e579"),
+            (OMEGA_FUNCTOR, 3, "c67d32389b5e6bae4fa90d25b2eeced2b5cb8de0d1d0fb34ae6ecd911d4756d5"),
+        ],
+    )
+    def test_row_order_digest(self, functor, rank, digest):
+        assert row_order_digest(spec(functor, rank, TENSOR, 3), (2, 1, 1)) == digest
 
 
 class TestArithmeticGroupCohomology:

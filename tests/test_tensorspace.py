@@ -3,17 +3,16 @@ from math import comb
 
 import pytest
 
+import reference_ops as ref
 from hopfquotients.exactla import SparseMatrix, quotient_dim
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
+from hopfquotients.presentations import RELATIONS
 from hopfquotients.tensorspace import (
     apply_atom,
     apply_expr,
     apply_word,
     bar_relation_rows,
     block_index,
-    coproduct_into,
-    counit_slot,
-    merge_slots,
     tensor_basis,
 )
 
@@ -120,16 +119,17 @@ class TestExplicitActions:
 
     def test_twist_on_generators(self):
         # gamma(x (x) y) = -1 (x) xy - y (x) x
-        got = apply_atom(SYM2, ("gamma",), ((1, 0), (0, 1)))
+        got = ref.apply_atom(SYM2, ("gamma",), ((1, 0), (0, 1)))
         assert got == {((0, 0), (1, 1)): -1, ((0, 1), (1, 0)): -1}
 
     def test_signed_swap_on_generators(self):
-        got = apply_atom(SYM2, ("s",), ((1, 0), (0, 1)))
+        got = ref.apply_atom(SYM2, ("s",), ((1, 0), (0, 1)))
         assert got == {((0, 1), (1, 0)): -1}
 
     def test_unknown_atom(self):
-        with pytest.raises(ValueError):
-            apply_atom(SYM2, ("frobenius",), ((0, 0),))
+        for atom in (("frobenius",), ("gamma",)):
+            with pytest.raises(ValueError):
+                apply_atom(SYM2, atom, ((0, 0), (0, 0)))
 
 
 class TestOperatorIdentities:
@@ -137,7 +137,7 @@ class TestOperatorIdentities:
         for t in basis:
             w = total_weight(H, t)
             for atom in atoms:
-                for out, c in apply_atom(H, atom, t).items():
+                for out, c in ref.apply_atom(H, atom, t).items():
                     assert c != 0
                     assert total_weight(H, out) == w
 
@@ -160,14 +160,26 @@ class TestOperatorIdentities:
         for H in (SYM2, TEN2):
             for basis in pair_blocks(H, 4):
                 for t in basis:
-                    for atom in [("tau",), ("delta",), ("S", 0), ("S", 1), ("swap", 0, 1)]:
+                    for atom in [("S", 0), ("S", 1), ("swap", 0, 1)]:
                         assert apply_word(H, (atom, atom), t) == {t: 1}
+                    for atom in [("tau",), ("delta",)]:
+                        assert ref.apply_word(H, (atom, atom), t) == {t: 1}
+
+    def test_engine_atoms_match_reference_maps(self):
+        # the words are read left to right: s is S in slot 1, then the swap
+        for H in (SYM2, TEN2):
+            for basis in pair_blocks(H, 4):
+                for t in basis:
+                    assert apply_atom(H, ("swap", 0, 1), t) == ref.apply_atom(H, ("tau",), t)
+                    assert apply_atom(H, ("S", 0), t) == ref.apply_atom(H, ("delta",), t)
+                    s_word = (("S", 1), ("swap", 0, 1))
+                    assert apply_word(H, s_word, t) == ref.apply_atom(H, ("s",), t)
 
     def test_signed_swap_squares_to_double_antipode(self):
         for H in (SYM2, TEN2):
             for basis in pair_blocks(H, 4):
                 for t in basis:
-                    twice = apply_word(H, (("s",), ("s",)), t)
+                    twice = ref.apply_word(H, (("s",), ("s",)), t)
                     assert twice == apply_word(H, (("S", 0), ("S", 1)), t)
 
     def test_swap_conjugates_antipode_slot(self):
@@ -188,20 +200,29 @@ class TestOperatorIdentities:
             for total in range(1, 6):
                 for basis in pair_blocks(H, total):
                     for t in basis:
-                        assert apply_word(H, (("gamma",),) * 3, t) == {t: 1}
+                        assert ref.apply_word(H, (("gamma",),) * 3, t) == {t: 1}
 
     def test_twist_differs_from_identity(self):
         t = ((1, 0), (0, 1))
-        assert apply_word(SYM2, (("gamma",),), t) != {t: 1}
+        assert ref.apply_word(SYM2, (("gamma",),), t) != {t: 1}
+
+    def test_relation_words_match_term_by_term_reading(self):
+        # apply_word's single-term shortcut against the plain loop
+        H = TEN3
+        words = {word for exprs in RELATIONS.values() for expr in exprs for _, word in expr}
+        for t in tensor_basis(H, 3, (2, 1, 1)):
+            for word in words:
+                want = {k: c for k, c in ref.apply_word(H, word, t).items() if c}
+                assert apply_word(H, word, t) == want, word
 
 
 class TestSlotOperations:
     def test_split_then_counit_merges(self):
         for H in (SYM2, TEN2):
             for t in tensor_basis(H, 3, (2, 1)):
-                merged = merge_slots(H, {t: 1}, 0)
-                via_f = counit_slot(H, apply_atom(H, ("F",), t), 1)
-                via_e = counit_slot(H, apply_atom(H, ("E",), t), 0)
+                merged = ref.merge_slots(H, {t: 1}, 0)
+                via_f = ref.counit_slot(H, apply_atom(H, ("F",), t), 1)
+                via_e = ref.counit_slot(H, apply_atom(H, ("E",), t), 0)
                 assert via_f == merged
                 assert via_e == merged
 
@@ -209,14 +230,14 @@ class TestSlotOperations:
         for H in (SYM2, TEN2):
             for t in tensor_basis(H, 2, (2, 2)):
                 for slot in (0, 1):
-                    spread = coproduct_into(H, t, slot)
-                    assert counit_slot(H, spread, slot) == {t: 1}
-                    assert counit_slot(H, spread, slot + 1) == {t: 1}
+                    spread = ref.coproduct_into(H, t, slot)
+                    assert ref.counit_slot(H, spread, slot) == {t: 1}
+                    assert ref.counit_slot(H, spread, slot + 1) == {t: 1}
 
     def test_expr_linearity(self):
         t = ((1, 0), (1, 1))
-        w1 = (("gamma",),)
-        w2 = (("s",), ("tau",))
+        w1 = (("F",),)
+        w2 = (("S", 1), ("swap", 0, 1))
         expr = [(2, w1), (-1, w2)]
         got = apply_expr(SYM2, expr, t)
         a = apply_word(SYM2, w1, t)
@@ -233,7 +254,7 @@ class TestSlotOperations:
         word = (("S", 0), ("swap", 0, 1))
         t = ((2, 0), (0, 1))
         forward = apply_word(SYM2, word, t)
-        backward = apply_word(SYM2, word, t, reverse=True)
+        backward = apply_word(SYM2, word[::-1], t)
         assert forward == {((0, 1), (2, 0)): 1}
         assert backward == {((0, 1), (2, 0)): -1}
         assert forward != backward
