@@ -9,7 +9,6 @@ from .combinatorics import (
     omega_dim,
     partitions_of,
     rank2_multiplicity,
-    rank3_cokernel_bound,
     rank3_h_bound,
     rank3_omega_bound,
     weyl_dim,
@@ -47,7 +46,6 @@ __all__ = [
     "partitions_of",
     "quotient_dim",
     "rank2_multiplicity",
-    "rank3_cokernel_bound",
     "rank3_h_bound",
     "rank3_omega_bound",
     "relation_rows",

@@ -8,7 +8,7 @@ Three subcommands, all emitting canonical JSON on stdout:
 
 Exit codes: 0 success, 1 verification mismatch, bound violation or
 block dimensions that fail the Kostka/Weyl reconstruction identity,
-2 bad usage or unreadable input.
+2 bad usage, unreadable input or an unusable --cache-dir.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconsistentBlockTableError as exc:

@@ -180,14 +180,6 @@ def omega_cusp_dim(k: int) -> int:
     return max(omega_dim(k) - 1, 0)
 
 
-def enlarged_cusp_dim(k: int) -> int:
-    """For even k >= 4 this is ceil((k-2)/3) - 1, a roughly k/3 sized
-    enlargement of cusp_dim(k); zero in odd or small degrees."""
-    if k < 4 or k % 2 == 1:
-        return 0
-    return max(-(-(k - 2) // 3) - 1, 0)
-
-
 def _epsilon(a: int, b: int, c: int) -> int:
     return 1 if (a > b > c and a % 2 == b % 2 == c % 2 == 0) else 0
 
@@ -225,13 +217,6 @@ def rank3_omega_bound(a: int, b: int, c: int) -> int:
     grows here from roughly (a-b)/12 to roughly (a-b)/3."""
     _check_sorted3(a, b, c)
     return omega_cusp_dim(a - b) + cusp_dim(b - c + 2) + _delta(a, b, c) + _epsilon(a, b, c)
-
-
-def rank3_cokernel_bound(a: int, b: int, c: int) -> int:
-    """Lower bound for multiplicities in the degree 2m+4 cokernel of the
-    rank-3 comparison map; enlarges the second summand of rank3_h_bound."""
-    _check_sorted3(a, b, c)
-    return cusp_dim(a - b + 2) + enlarged_cusp_dim(b - c + 2) + _delta(a, b, c) + _epsilon(a, b, c)
 
 
 def omega2_sym_multiplicity(k: int, l: int) -> int:

@@ -1,6 +1,9 @@
 """Exact rank computations for sparse integer matrices.
 
-Rows live in dicts column -> coefficient.  The main path is a
+Rows live in dicts column -> integer coefficient.  rank_distinct is the
+engine's entry point: it normalizes the rows (content divided out,
+leading coefficient positive), drops repeats of a line before any
+elimination, and hands the rest to rank_sparse.  That is a
 fraction-free elimination in big integers: a pivot step replaces row_j
 by (p * row_j - v * row_i) / gcd, so no rationals ever appear.  Pivots
 are chosen Markowitz style, cheapest column first and shortest row
@@ -22,17 +25,11 @@ _STRIP_BITS = 63
 
 
 def _normalize_row(row: dict) -> dict:
-    """Clear denominators, divide out the content, make the leading
+    """Drop zero entries, divide out the content, make the leading
     (lowest column) coefficient positive."""
     items = [(c, v) for c, v in row.items() if v]
     if not items:
         return {}
-    if any(isinstance(v, Fraction) for _, v in items):
-        denom_lcm = 1
-        for _, v in items:
-            d = v.denominator if isinstance(v, Fraction) else 1
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        items = [(c, int(v * denom_lcm)) for c, v in items]
     g = 0
     for _, v in items:
         g = gcd(g, v)
@@ -42,34 +39,24 @@ def _normalize_row(row: dict) -> dict:
     return {c: v // g for c, v in items}
 
 
-class SparseMatrix:
-    """A bag of relation rows over a fixed column range."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[dict] = []
-        self._seen: set = set()
-
-    def add_row(self, row: dict) -> None:
+def rank_distinct(rows) -> int:
+    """Rank of the span of integer rows: each row is normalized, only the
+    first row on each line is kept, and the kept rows go to rank_sparse
+    in their original order."""
+    distinct = []
+    seen = set()
+    for row in rows:
         norm = _normalize_row(row)
         if not norm:
-            return
+            continue
         key = tuple(sorted(norm.items()))
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.rows.append(norm)
-
-    def extend(self, rows) -> None:
-        for row in rows:
-            self.add_row(row)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return rank_sparse(self.rows)
+        if key not in seen:
+            seen.add(key)
+            distinct.append(norm)
+    # the keys hold a second copy of every row; free them before the
+    # elimination reaches its peak
+    del seen
+    return rank_sparse(distinct)
 
 
 def _maybe_strip(row: dict) -> dict:
@@ -167,11 +154,3 @@ def rank_dense(rows, ncols: int) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def quotient_dim(ambient: int, matrix: SparseMatrix) -> int:
-    """Dimension of the quotient of an ambient space by the row span."""
-    r = matrix.rank()
-    if r > ambient:
-        raise ValueError("rank exceeded ambient dimension")
-    return ambient - r

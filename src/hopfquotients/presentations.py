@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from math import comb
 
-from .exactla import SparseMatrix, rank_sparse
+from .exactla import rank_distinct, rank_sparse
 from .hopf import SYM, TENSOR, HopfAlgebra, add_into
 from .tensorspace import (
     apply_expr,
@@ -211,11 +211,9 @@ def _cache_path(cache_dir, token: str):
 
 def compute_block(spec: FunctorSpec, weight) -> BlockResult:
     basis, rows = relation_rows(spec, weight)
-    mat = SparseMatrix(len(basis))
     index = block_index(basis)
-    for row in rows:
-        mat.add_row({index[t]: c for t, c in row.items()})
-    return BlockResult(tuple(weight), len(basis), mat.rank())
+    rank = rank_distinct({index[t]: c for t, c in row.items()} for row in rows)
+    return BlockResult(tuple(weight), len(basis), rank)
 
 
 def _spec_record(spec: FunctorSpec) -> dict:

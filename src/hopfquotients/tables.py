@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from importlib.resources import files
 
+from .combinatorics import is_partition
 from .decompose import decompose
 from .hopf import HopfAlgebra
 from .presentations import FunctorSpec
@@ -61,8 +62,16 @@ def _check_entry(entry) -> None:
         and _is_list_of(value.get("decomposition"), partition=list, mult=int)
     ):
         raise ValueError(f"table entry {cell} has a malformed value: {value!r}")
-    if not _is_list_of(entry.get("flags", []), partition=list):
+    flags = entry.get("flags", [])
+    if not _is_list_of(flags, partition=list):
         raise ValueError(f"table entry {cell} has malformed flags")
+    listed = flags + (value["decomposition"] if isinstance(value, dict) else [])
+    for item in listed:
+        lam = item["partition"]
+        if not (all(type(p) is int for p in lam) and is_partition(lam)
+                and sum(lam) == entry["degree"]):
+            raise ValueError(f"table entry {cell} lists {lam!r}, which is not a "
+                             f"partition of {entry['degree']}")
 
 
 def decomposition_to_pairs(value) -> list:

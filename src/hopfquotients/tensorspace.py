@@ -16,6 +16,9 @@ pass through unchanged.
 An operator word is a tuple of atoms, applied to a vector left to
 right: the word (u, v) means "apply u, then v".  This is the reading
 under which the presentations reproduce the published tables.
+
+apply_expr is the entry point: it applies a formal sum of words to one
+basis tuple and sums the resulting terms once per expression.
 """
 
 from __future__ import annotations
@@ -76,31 +79,19 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def apply_word(H: HopfAlgebra, word: tuple, t: tuple) -> dict:
-    current = {t: 1}
-    for atom in word:
-        if len(current) == 1:
-            # swaps, antipodes and unit filters keep a single term; apply_atom
-            # returns a fresh dict, so it can be used as it is
-            ((tup, c),) = current.items()
-            current = apply_atom(H, atom, tup)
-            if c != 1:
-                current = {tup2: c * c2 for tup2, c2 in current.items()}
-            continue
-        nxt: dict = {}
-        for tup, c in current.items():
-            for tup2, c2 in apply_atom(H, atom, tup).items():
-                nxt[tup2] = nxt.get(tup2, 0) + c * c2
-        current = {tup: c for tup, c in nxt.items() if c}
-    return current
-
-
 def apply_expr(H: HopfAlgebra, expr, t: tuple) -> dict:
-    """expr is a list of (coeff, word) pairs; returns expr applied to t."""
+    """expr is a list of (coeff, word) pairs; returns expr applied to t.
+
+    Each word carries its image as a list of (tuple, coeff) terms, which
+    every atom maps through apply_atom; the terms of all words are summed,
+    and zeros dropped, once at the end.  This is exact by linearity."""
     out: dict = {}
     for coeff, word in expr:
-        for tup, c in apply_word(H, word, t).items():
-            out[tup] = out.get(tup, 0) + coeff * c
+        terms = [(t, coeff)]
+        for atom in word:
+            terms = [(t2, c * c2) for t1, c in terms for t2, c2 in apply_atom(H, atom, t1).items()]
+        for tup, c in terms:
+            out[tup] = out.get(tup, 0) + c
     return {tup: c for tup, c in out.items() if c}
 
 

@@ -73,6 +73,16 @@ class TestCompute:
         warm = run(*args)
         assert warm.stdout == cold.stdout
 
+    def test_unusable_cache_dir_exits_two(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        res = run("compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
+                  "--degree", "4", "--cache-dir", str(not_a_dir))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
 
 class TestVerify:
     def test_packaged_table_scope(self):
@@ -121,8 +131,15 @@ class TestVerify:
                           "value": "zero"}]},
             {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
                           "value": "zero", "flags": 5}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
+                          "value": {"decomposition": [{"partition": ["x"], "mult": 1}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
+                          "value": {"decomposition": [{"partition": [[4]], "mult": 1}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
+                          "value": "zero", "flags": [{"partition": [2, 1]}]}]},
         ],
-        ids=["no-value", "no-decomposition", "entries-int", "degree-str", "flags-int"],
+        ids=["no-value", "no-decomposition", "entries-int", "degree-str", "flags-int",
+             "partition-str", "partition-nested", "flag-other-degree"],
     )
     def test_malformed_table_entries(self, tmp_path, table):
         path = tmp_path / "malformed.json"

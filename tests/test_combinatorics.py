@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hopfquotients.combinatorics import (
     cusp_dim,
     dominates,
-    enlarged_cusp_dim,
     is_partition,
     kostka,
     mf_dim,
@@ -15,7 +14,6 @@ from hopfquotients.combinatorics import (
     omega_dim,
     partitions_of,
     rank2_multiplicity,
-    rank3_cokernel_bound,
     rank3_h_bound,
     rank3_omega_bound,
     weight_to_partition,
@@ -203,12 +201,6 @@ class TestSmallQuotientDims:
         assert omega_cusp_dim(4) == 1
         assert omega_cusp_dim(8) == 2
 
-    def test_enlarged_cusp_dim(self):
-        assert [enlarged_cusp_dim(k) for k in (2, 4, 6, 8, 10, 12)] == [0, 0, 1, 1, 2, 3]
-        # grows like k/3, eventually dwarfing cusp_dim for the same weight
-        for k in range(12, 60, 2):
-            assert enlarged_cusp_dim(k) >= cusp_dim(k)
-
 
 class TestBoundFormulas:
     def test_rank2_table_row(self):
@@ -234,15 +226,6 @@ class TestBoundFormulas:
         assert rank3_omega_bound(4, 0, 0) == 1
         assert rank3_omega_bound(2, 2, 0) == 0
         assert rank3_omega_bound(4, 4, 0) == 0
-
-    def test_cokernel_bound_dominates_h_bound(self):
-        # the enlargement never shrinks a summand
-        for a in range(0, 25):
-            for b in range(0, a + 1):
-                for c in range(0, b + 1):
-                    assert rank3_cokernel_bound(a, b, c) >= rank3_h_bound(a, b, c)
-        # and it is strictly bigger once the inner gap is large
-        assert rank3_cokernel_bound(20, 20, 0) > rank3_h_bound(20, 20, 0)
 
     def test_sorted_precondition(self):
         with pytest.raises(ValueError):

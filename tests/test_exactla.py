@@ -1,15 +1,13 @@
 import random
-from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfquotients import exactla
 from hopfquotients.exactla import (
-    SparseMatrix,
     _normalize_row,
     rank_dense,
+    rank_distinct,
     rank_sparse,
-    quotient_dim,
 )
 
 
@@ -31,41 +29,30 @@ class TestNormalizeRow:
         assert _normalize_row({3: -6, 7: 9}) == {3: 2, 7: -3}
         assert _normalize_row({0: -4, 1: -8}) == {0: 1, 1: 2}
 
-    def test_fractions_cleared(self):
-        row = {0: Fraction(1, 2), 2: Fraction(-3, 4)}
-        assert _normalize_row(row) == {0: 2, 2: -3}
-
     def test_zero_row(self):
         assert _normalize_row({}) == {}
         assert _normalize_row({5: 0}) == {}
 
 
 class TestSparseMatrix:
-    def test_dedup(self):
-        m = SparseMatrix(4)
-        m.add_row({0: 2, 1: -2})
-        m.add_row({0: 1, 1: -1})   # same line after normalization
-        m.add_row({0: -3, 1: 3})   # still the same line
-        m.add_row({})
-        assert m.nrows == 1
-        assert m.rank() == 1
+    """rank_distinct, the normalize-and-dedup step in front of rank_sparse."""
 
-    def test_extend(self):
-        m = SparseMatrix(3)
-        m.extend([{0: 1}, {1: 1}, {0: 1, 1: 1}])
-        assert m.nrows == 3
-        assert m.rank() == 2
-
-    def test_quotient_dim(self):
-        m = SparseMatrix(5)
-        m.extend([{0: 1, 4: -1}, {1: 2}])
-        assert quotient_dim(5, m) == 3
-
-    def test_quotient_dim_overflow(self):
-        m = SparseMatrix(3)
-        m.extend([{0: 1}, {1: 1}])
-        with pytest.raises(ValueError):
-            quotient_dim(1, m)
+    def test_dedup(self, monkeypatch):
+        rows = [
+            {0: 2, 1: -2},
+            {1: 5},
+            {0: 1, 1: -1},   # same line as the first after normalization
+            {0: -3, 1: 3},   # still the same line
+            {},
+            {2: 0},
+            {1: -1},         # same line as the second
+        ]
+        assert rank_distinct(iter(rows)) == 2
+        handed = []
+        monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
+        rank_distinct(rows)
+        # first occurrence of each line, normalized, in input order
+        assert handed == [[{0: 1, 1: -1}, {1: 1}]]
 
 
 class TestRankKnown:
@@ -150,12 +137,6 @@ class TestSparseAgainstDense:
                 combo[c] = combo.get(c, 0) - 7 * v
             combo = {c: v for c, v in combo.items() if v}
             assert rank_sparse(rows + [combo]) == base
-
-    def test_fraction_rows_in_matrix(self):
-        m = SparseMatrix(3)
-        m.add_row({0: Fraction(1, 3), 1: Fraction(1, 6)})
-        m.add_row({0: 2, 1: 1})  # the same line over the rationals
-        assert m.nrows == 1
 
 
 class TestDeterminism:
