@@ -49,6 +49,16 @@ def partitions_of(n: int, max_parts: int | None = None):
     return out
 
 
+def conjugate(lam) -> tuple:
+    """The conjugate partition: column lengths of the Young diagram.
+
+    >>> conjugate((3, 1))
+    (2, 1, 1)
+    """
+    lam = tuple(lam)
+    return tuple(sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0))
+
+
 def weight_to_partition(weight) -> tuple:
     return tuple(sorted((w for w in weight if w > 0), reverse=True))
 
@@ -131,10 +141,7 @@ def weyl_dim(lam, m: int) -> int:
     lam = tuple(lam)
     if len(lam) > m:
         return 0
-    conj = [0] * (lam[0] if lam else 0)
-    for row in lam:
-        for j in range(row):
-            conj[j] += 1
+    conj = conjugate(lam)
     num = den = 1
     for i, row in enumerate(lam):
         for j in range(row):

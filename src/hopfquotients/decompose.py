@@ -7,6 +7,22 @@ numbers, and walking dominant weights in descending lexicographic order
 (a linear extension of dominance), the system is unitriangular and
 solves by back substitution.
 
+Over the tensor algebra with at least as many variables as the degree
+d, the solve runs from both ends of dominance.  The block at lam has
+M(lam) = d!/prod(lam_i!) times a constant columns, and
+{lam : M(lam) <= M(lam')} is an up-set.  It is solved top down from
+ordinary weight blocks, as above.  The down-set is solved bottom up
+from the sign blocks at lam' (see presentations), whose dimensions are
+sum_kappa mult_kappa * K_{kappa',lam'}, again unitriangular.  So the
+multilinear block, the largest one, is never built.  One boundary
+block, the smallest of the ordinary blocks on the down-set and the
+sign blocks at lam' for lam on the up-set, is computed as well and
+must match the value the multiplicities of both halves predict.
+weight_dims then holds the computed dimension on the up-set and the
+predicted sum_kappa mult_kappa * K_{kappa,mu} on the down-set.  Sym
+cells, and tensor cells with fewer variables than the degree, use
+ordinary blocks only.
+
 The number of variables defaults to the row bound: rank many for sym,
 the degree for tensor; no partition with more rows can appear.
 """
@@ -14,10 +30,11 @@ the degree for tensor; no partition with more rows can appear.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 from .combinatorics import (
+    conjugate,
     kostka,
     omega2_sym_multiplicity,
     partitions_of,
@@ -26,8 +43,9 @@ from .combinatorics import (
     rank3_omega_bound,
     weyl_dim,
 )
-from .hopf import SYM
+from .hopf import SYM, TENSOR
 from .presentations import FunctorSpec, block_result, in_memory, remember_block
+from .tensorspace import basis_size
 
 VIOLATION = "VIOLATION"
 
@@ -91,6 +109,35 @@ def _block_job(args):
     return block_result(spec, weight, cache_dir=cache_dir)
 
 
+def _block_cols(block) -> int:
+    spec, weight = block
+    return basis_size(spec.hopf, spec.rank, weight)
+
+
+def _quotient_dims(blocks, jobs, cache_dir) -> dict:
+    """Quotient dimension of each (spec, weight) block.  Blocks missing
+    from the memory cache go to a process pool, largest first, when
+    there are two or more of them."""
+    misses = [b for b in blocks if not in_memory(*b)]
+    if jobs > 1 and len(misses) > 1:
+        misses.sort(key=_block_cols, reverse=True)
+        with multiprocessing.Pool(jobs) as pool:
+            computed = pool.map(_block_job, [(*b, cache_dir) for b in misses])
+        # a worker's memory cache dies with it; keep its results here
+        for block, result in zip(misses, computed):
+            remember_block(*block, result)
+    return {b: _block_job((*b, cache_dir)).quotient_dim for b in blocks}
+
+
+def _predicted(block, entries) -> int:
+    """The dimension the multiplicities give a block: the sum of
+    mult_kappa * K_{kappa,mu} for the weight block at mu, and of
+    mult_kappa * K_{kappa',nu} for the sign block at nu."""
+    spec, weight = block
+    return sum(mult * kostka(conjugate(kappa) if spec.sign else kappa, weight)
+               for kappa, mult in entries.items())
+
+
 def decompose(
     spec: FunctorSpec,
     degree: int,
@@ -105,32 +152,54 @@ def decompose(
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if spec.sign:
+        raise ValueError("decompose takes a spec of weight blocks, not sign blocks")
     m = num_vars if num_vars is not None else default_num_vars(spec, degree)
     wspec = spec.with_num_vars(m)
+    two_ended = wspec.hopf.kind == TENSOR and m >= degree
+    sspec = replace(wspec, sign=True) if two_ended else None
     parts = partitions_of(degree, m)
-    jobs_args = [(wspec, pad_weight(lam, m), cache_dir) for lam in parts]
-    misses = [a for a in jobs_args if not in_memory(wspec, a[1])]
-    if jobs > 1 and len(misses) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            computed = pool.map(_block_job, misses)
-        # a worker's memory cache dies with it; keep its results here
-        for (_, weight, _), result in zip(misses, computed):
-            remember_block(wspec, weight, result)
-    outcomes = [_block_job(a) for a in jobs_args]
-    weight_dims = {lam: res.quotient_dim for lam, res in zip(parts, outcomes)}
 
-    entries: dict = {}
-    for lam in parts:
-        value = weight_dims[lam]
-        for kappa, mult in entries.items():
-            value -= mult * kostka(kappa, lam)
+    def ordinary(lam):
+        return (wspec, pad_weight(lam, m))
+
+    def sign(lam):
+        return (sspec, pad_weight(conjugate(lam), m))
+
+    up = parts
+    if two_ended:
+        up = [lam for lam in parts if _block_cols(ordinary(lam)) <= _block_cols(sign(lam))]
+    down = [lam for lam in parts if lam not in up]
+    # top down through the up-set, then bottom up through the down-set:
+    # every kappa whose coefficient in lam's block is nonzero comes first
+    order = [(lam, ordinary(lam)) for lam in up] + [(lam, sign(lam)) for lam in reversed(down)]
+    blocks = [block for _, block in order]
+    boundary = None
+    if down:
+        boundary = min([ordinary(lam) for lam in down] + [sign(lam) for lam in up], key=_block_cols)
+        blocks.append(boundary)
+    dims = _quotient_dims(blocks, jobs, cache_dir)
+
+    table = {lam: dims[block] for lam, block in order}
+    solved: dict = {}
+    for lam, block in order:
+        value = dims[block] - _predicted(block, solved)
         if value < 0:
             raise InconsistentBlockTableError(
-                f"negative multiplicity for {lam} in {wspec.key()} degree {degree}",
-                weight_dims,
+                f"negative multiplicity for {lam} in {wspec.key()} degree {degree}", table
             )
         if value:
-            entries[lam] = value
+            solved[lam] = value
+    entries = {lam: solved[lam] for lam in parts if lam in solved}
+    weight_dims = {lam: table[lam] if lam in up else _predicted(ordinary(lam), entries)
+                   for lam in parts}
+    if boundary is not None and dims[boundary] != _predicted(boundary, entries):
+        raise InconsistentBlockTableError(
+            f"boundary block {boundary[0].key()} at {boundary[1]} has dimension "
+            f"{dims[boundary]}, but the multiplicities of {wspec.key()} degree {degree} "
+            f"predict {_predicted(boundary, entries)}",
+            weight_dims,
+        )
     dec = Decomposition(wspec, degree, entries, weight_dims)
     _check_reconstruction(dec)
     return dec

@@ -11,6 +11,19 @@ tensorspace, applied on the right (left to right) to each basis tuple
 of the block.  Conjugation-defect rows from bar_relation_rows are always
 included, so every quotient is really a quotient of the reduced tensor
 power; for the tensor algebra they also carry the commutators of rank 1.
+
+A spec with sign=True asks, over the tensor algebra, for sign blocks.
+The sign block at a weight nu of size d is the part of the multilinear
+block (letters 0..d-1, each once) on which the Young subgroup S_nu,
+permuting each run of nu_j consecutive letters, acts by its sign; it is
+the weight-nu block of the functor on odd generators, and its quotient
+dimension is sum_lam mult_lam * K_{lam',nu}.  S_nu acts freely on
+multilinear tuples and the relations commute with it, so the block has
+one column per orbit, indexed by the ordinary weight-nu basis (each
+tuple stands for its standardization), and its rows are the rows of
+the orbit representatives, bar rows included, folded back onto the
+representatives with the sign of the relabelling.  An ordinary block is
+the identity fold.
 """
 
 from __future__ import annotations
@@ -145,6 +158,8 @@ class FunctorSpec:
     rank: int
     hopf: HopfAlgebra
     parity: str = "none"
+    # sign blocks instead of weight blocks (see the module docstring)
+    sign: bool = False
 
     def __post_init__(self):
         if self.functor not in (H_FUNCTOR, OMEGA_FUNCTOR):
@@ -156,33 +171,100 @@ class FunctorSpec:
         if self.parity != "none":
             if self.rank != 3 or self.functor != H_FUNCTOR or self.hopf.kind != SYM:
                 raise ValueError("parity specialization only exists for rank-3 H over sym")
+        if self.sign and self.hopf.kind != TENSOR:
+            raise ValueError("sign blocks only exist over the tensor algebra")
 
     def with_num_vars(self, m: int) -> "FunctorSpec":
         return replace(self, hopf=HopfAlgebra(self.hopf.kind, m))
 
     def key(self) -> str:
-        return f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}|{self.parity}"
+        key = f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}|{self.parity}"
+        return key + "|sign" if self.sign else key
+
+
+def _identity(x):
+    return x
+
+
+def _sign_fold(weight):
+    """(standardize, fold) for the sign block at weight.
+
+    standardize maps a tuple of weight-nu words to its multilinear
+    standardization: the k-th occurrence of letter j, in reading order,
+    becomes start_j + k, where letter j's run starts at
+    start_j = nu_0 + ... + nu_{j-1}.  fold maps a row over multilinear
+    tuples to the sign-isotypic part: each tuple goes to the weight-nu
+    tuple of its orbit, times the sign of the relabelling within runs."""
+    starts = [0]
+    for w in weight:
+        starts.append(starts[-1] + w)
+    run = tuple(j for j, w in enumerate(weight) for _ in range(w))
+    folded: dict = {}
+
+    def standardize(t):
+        nxt = list(starts)
+        out = []
+        for word in t:
+            labels = []
+            for x in word:
+                labels.append(nxt[x])
+                nxt[x] += 1
+            out.append(tuple(labels))
+        return tuple(out)
+
+    def fold_tuple(u):
+        letters = [x for word in u for x in word]
+        inversions = sum(
+            1
+            for i, x in enumerate(letters)
+            for y in letters[:i]
+            if y > x and run[y] == run[x]
+        )
+        return tuple(tuple(run[x] for x in word) for word in u), -1 if inversions % 2 else 1
+
+    def fold(row):
+        out: dict = {}
+        for u, c in row.items():
+            hit = folded.get(u)
+            if hit is None:
+                hit = folded[u] = fold_tuple(u)
+            rep, sign = hit
+            out[rep] = out.get(rep, 0) + sign * c
+        return {rep: c for rep, c in out.items() if c}
+
+    return standardize, fold
 
 
 def relation_rows(spec: FunctorSpec, weight):
     """Materialize the relation rows for one weight block.
 
-    Returns (basis, rows) where rows are integer dict-vectors over the
-    block tuples: the conjugation-defect rows, then, basis tuple by
-    basis tuple, the nonzero images of the spec's relations.
+    Returns (basis, rows) where rows are integer dict-vectors over
+    column indices into basis, each packed as soon as it is generated:
+    the conjugation-defect rows, then, basis tuple by basis tuple, the
+    nonzero images of the spec's relations.  For a sign block every row
+    is generated from a standardized tuple and folded back first.
     """
     H = spec.hopf
     weight = tuple(weight)
     if spec.parity != "none" and sum(weight) % 2 != (spec.parity == "odd"):
         raise ValueError(f"weight {weight} has the wrong parity for {spec.parity!r}")
+    if spec.sign and sum(weight) > H.num_vars:
+        raise ValueError(f"a sign block at {weight} needs {sum(weight)} variables")
     exprs = RELATIONS[(spec.functor, spec.rank, spec.parity)]
+    standardize, fold = _sign_fold(weight) if spec.sign else (_identity, _identity)
     basis = tensor_basis(H, spec.rank, weight)
-    rows = list(bar_relation_rows(H, spec.rank, weight))
+    index = block_index(basis)
+    rows = []
+    for row in bar_relation_rows(H, spec.rank, weight, standardize):
+        row = fold(row)
+        if row:
+            rows.append({index[t]: c for t, c in row.items()})
     for t in basis:
+        seed = standardize(t)
         for expr in exprs:
-            row = apply_expr(H, expr, t)
+            row = fold(apply_expr(H, expr, seed))
             if row:
-                rows.append(row)
+                rows.append({index[u]: c for u, c in row.items()})
     return basis, rows
 
 
@@ -211,8 +293,10 @@ def _cache_path(cache_dir, token: str):
 
 def compute_block(spec: FunctorSpec, weight) -> BlockResult:
     basis, rows = relation_rows(spec, weight)
-    index = block_index(basis)
-    rank = rank_distinct({index[t]: c for t, c in row.items()} for row in rows)
+    # hand the rows over one at a time, in order, so that each packed
+    # row is freed as soon as rank_distinct has normalized it
+    rows.reverse()
+    rank = rank_distinct(rows.pop() for _ in range(len(rows)))
     return BlockResult(tuple(weight), len(basis), rank)
 
 
@@ -223,6 +307,7 @@ def _spec_record(spec: FunctorSpec) -> dict:
         "hopf": spec.hopf.kind,
         "num_vars": spec.hopf.num_vars,
         "parity": spec.parity,
+        "sign": spec.sign,
     }
 
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
+from math import comb, factorial, prod
 
-from .hopf import HopfAlgebra, add_into
+from .hopf import SYM, HopfAlgebra, add_into
 
 
 @lru_cache(maxsize=None)
@@ -46,6 +47,16 @@ def tensor_basis(H: HopfAlgebra, n: int, weight: tuple) -> tuple:
             for tail in tails:
                 out.append((e,) + tail)
     return tuple(sorted(out))
+
+
+def basis_size(H: HopfAlgebra, n: int, weight) -> int:
+    """len(tensor_basis(H, n, weight)), counted without building the
+    basis: for sym, each variable's exponent is spread over n slots; for
+    tensor, a word of the weight's letters is cut into n words."""
+    if H.kind == SYM:
+        return prod(comb(w + n - 1, n - 1) for w in weight)
+    d = sum(weight)
+    return comb(d + n - 1, n - 1) * factorial(d) // prod(factorial(w) for w in weight)
 
 
 def block_index(basis) -> dict:
@@ -95,24 +106,31 @@ def apply_expr(H: HopfAlgebra, expr, t: tuple) -> dict:
     return {tup: c for tup, c in out.items() if c}
 
 
-def bar_relation_rows(H: HopfAlgebra, n: int, weight: tuple):
+def bar_relation_rows(H: HopfAlgebra, n: int, weight: tuple, relabel=None):
     """Rows spanning the conjugation defect inside the weight block.
 
     For the tensor algebra these are, for every generator v and every
     block tuple t one v short of the weight, the sum over slots of
     (v * t_i - t_i * v) placed in slot i.  The symmetric algebra is
     commutative, so there are none.
+
+    relabel, if given, maps the tuple (v,) + t to the one whose row is
+    built instead, e.g. its standardization.
     """
     weight = tuple(weight)
-    if H.kind == "sym":
+    if H.kind == SYM:
         return []
     rows = []
     for v in range(H.num_vars):
         if weight[v] == 0:
             continue
         reduced = tuple(w - 1 if u == v else w for u, w in enumerate(weight))
-        gen = H.generator(v)
+        head = (H.generator(v),)
         for t in tensor_basis(H, n, reduced):
+            seed = head + t
+            if relabel is not None:
+                seed = relabel(seed)
+            gen, t = seed[0], seed[1:]
             row: dict = {}
             for i, elem in enumerate(t):
                 left = t[:i] + (H.product(gen, elem),) + t[i + 1 :]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfquotients.combinatorics import (
+    conjugate,
     cusp_dim,
     dominates,
     is_partition,
@@ -85,6 +86,27 @@ class TestPartitions:
         assert dominates((3, 1), (2, 2))
         with pytest.raises(ValueError):
             dominates((2,), (1,))
+
+    def test_conjugate_examples(self):
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate((4, 2, 2, 1)) == (4, 3, 1, 1)
+        assert conjugate((1, 1, 1)) == (3,)
+        assert conjugate(()) == ()
+
+    def test_conjugate_is_a_size_preserving_involution(self):
+        for n in range(0, 10):
+            for lam in partitions_of(n, n):
+                conj = conjugate(lam)
+                assert is_partition(conj) and sum(conj) == n
+                assert len(conj) == (lam[0] if lam else 0)
+                assert conjugate(conj) == lam
+
+    def test_conjugate_reverses_dominance(self):
+        for n in (5, 6):
+            parts = partitions_of(n, n)
+            for a in parts:
+                for b in parts:
+                    assert dominates(a, b) == dominates(conjugate(b), conjugate(a))
 
     def test_descending_lex_refines_dominance(self):
         for n in (5, 6, 7):

@@ -1,7 +1,10 @@
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
+from hopfquotients import cli
+from hopfquotients.combinatorics import conjugate, kostka, partitions_of
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients.decompose import (
     Decomposition,
@@ -15,11 +18,21 @@ from hopfquotients.decompose import (
     weight_orbit_size,
 )
 from hopfquotients import presentations
-from hopfquotients.presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec
+from hopfquotients.presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec, quotient_dim
+from hopfquotients.tensorspace import basis_size
 
 
 def spec(functor, rank, kind):
     return FunctorSpec(functor, rank, HopfAlgebra(kind, 1))
+
+
+@pytest.fixture
+def clean_cache():
+    """An empty memory cache, emptied again afterwards, so that block
+    results doctored or computed in a test do not reach other tests."""
+    presentations._MEM_CACHE.clear()
+    yield
+    presentations._MEM_CACHE.clear()
 
 
 class TestHelpers:
@@ -122,31 +135,61 @@ class TestDecompositionShape:
         # one-variable total only sees one-row pieces
         assert dec.total_dim(1) == dec.multiplicity((6,))
 
-    def test_jobs_do_not_change_anything(self):
-        s = spec(OMEGA_FUNCTOR, 2, SYM)
-        serial = decompose(s, 5, jobs=1)
-        parallel = decompose(s, 5, jobs=2)
-        assert serial.entries == parallel.entries
-        assert serial.weight_dims == parallel.weight_dims
+    def test_jobs_do_not_change_anything(self, clean_cache):
+        for s in (spec(OMEGA_FUNCTOR, 2, SYM), spec(H_FUNCTOR, 2, TENSOR)):
+            serial = decompose(s, 5, jobs=1)
+            # else the parallel call finds every block cached and starts no pool
+            presentations._MEM_CACHE.clear()
+            parallel = decompose(s, 5, jobs=2)
+            assert serial.entries == parallel.entries
+            assert serial.weight_dims == parallel.weight_dims
 
-    def test_pool_results_reach_the_parent_cache(self, monkeypatch):
-        presentations._MEM_CACHE.clear()
+    def test_pool_results_reach_the_parent_cache(self, monkeypatch, clean_cache):
         s = spec(H_FUNCTOR, 2, TENSOR)
         first = decompose(s, 4, jobs=2)
+        sign = replace(first.spec, sign=True)
+        assert presentations.in_memory(sign, (4, 0, 0, 0))
+        assert presentations.in_memory(sign, (3, 1, 0, 0))
 
         def boom(*a, **k):
             raise AssertionError("should have come from the memory cache")
 
-        monkeypatch.setattr(presentations, "compute_block", boom)
-        again = decompose(s, 4, jobs=2)
-        assert again.weight_dims == first.weight_dims
-
         def no_pool(*a, **k):
             raise AssertionError("every block is cached; no pool needed")
 
+        monkeypatch.setattr(presentations, "compute_block", boom)
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        third = decompose(s, 4, jobs=2)
-        assert third.weight_dims == first.weight_dims
+        again = decompose(s, 4, jobs=2)
+        assert again.entries == first.entries
+        assert again.weight_dims == first.weight_dims
+
+    def test_pool_gets_the_largest_blocks_first(self, monkeypatch, clean_cache):
+        handed = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                handed.extend(jobs)
+                return [fn(job) for job in jobs]
+
+        s = spec(OMEGA_FUNCTOR, 2, TENSOR)
+        serial = decompose(s, 5)
+        presentations._MEM_CACHE.clear()
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        pooled = decompose(s, 5, jobs=2)
+        sizes = [basis_size(bspec.hopf, bspec.rank, weight) for bspec, weight, _ in handed]
+        assert len(sizes) > 2 and sizes == sorted(sizes, reverse=True)
+        assert any(bspec.sign for bspec, _, _ in handed)
+        assert pooled.entries == serial.entries
+        assert pooled.weight_dims == serial.weight_dims
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):
@@ -155,6 +198,78 @@ class TestDecompositionShape:
     def test_degree_zero(self):
         dec = decompose(spec(H_FUNCTOR, 2, SYM), 0)
         assert dec.entries == {}
+
+
+def ordinary_multiplicities(s, degree):
+    """Back substitution over every ordinary weight block, the multilinear
+    one included: the one-ended solve, written out independently."""
+    m = max(degree, 1)
+    wspec = s.with_num_vars(m)
+    entries = {}
+    for lam in partitions_of(degree, m):
+        value = quotient_dim(wspec, pad_weight(lam, m))
+        value -= sum(mult * kostka(kappa, lam) for kappa, mult in entries.items())
+        assert value >= 0
+        if value:
+            entries[lam] = value
+    return entries
+
+
+class TestTwoEndedSolve:
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    @pytest.mark.parametrize("rank, degree", [(2, d) for d in range(6)] + [(3, d) for d in range(5)])
+    def test_sign_blocks_match_the_ordinary_path(self, functor, rank, degree):
+        s = spec(functor, rank, TENSOR)
+        mults = ordinary_multiplicities(s, degree)
+        assert decompose(s, degree).entries == mults
+        sspec = replace(s.with_num_vars(max(degree, 1)), sign=True)
+        for lam in partitions_of(degree, degree):
+            predicted = sum(mult * kostka(conjugate(kappa), lam) for kappa, mult in mults.items())
+            assert quotient_dim(sspec, pad_weight(lam, max(degree, 1))) == predicted, lam
+
+    def test_weight_dims_on_the_down_set_are_the_ordinary_ones(self):
+        s = spec(OMEGA_FUNCTOR, 2, TENSOR)
+        dec = decompose(s, 5)
+        wspec = s.with_num_vars(5)
+        for lam in [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]:
+            assert dec.weight_dims[lam] == quotient_dim(wspec, pad_weight(lam, 5))
+        assert list(dec.weight_dims) == partitions_of(5, 5)
+
+    def test_sign_spec_is_not_decomposed(self):
+        with pytest.raises(ValueError):
+            decompose(replace(spec(H_FUNCTOR, 2, TENSOR), sign=True), 3)
+
+    @staticmethod
+    def doctor(monkeypatch, delta):
+        """Shift the rank of the sign block at (3, 1) by delta.  H rank 2
+        degree 4 has only (3, 1), so that block, which yields the
+        multiplicity of (2, 1, 1), has dimension 0, and the boundary
+        block is the sign block at (2, 2)."""
+        real = presentations.compute_block
+
+        def doctored(s, weight):
+            result = real(s, weight)
+            if s.sign and weight == (3, 1, 0, 0):
+                result = replace(result, rank=result.rank + delta)
+            return result
+
+        monkeypatch.setattr(presentations, "compute_block", doctored)
+
+    @pytest.mark.parametrize("delta, message", [(-1, "boundary block"), (1, "negative multiplicity")])
+    def test_doctored_sign_block_rejected(self, monkeypatch, clean_cache, delta, message):
+        self.doctor(monkeypatch, delta)
+        with pytest.raises(InconsistentBlockTableError, match=message):
+            decompose(spec(H_FUNCTOR, 2, TENSOR), 4)
+
+    def test_doctored_sign_block_exits_one(self, monkeypatch, capsys, clean_cache):
+        self.doctor(monkeypatch, -1)
+        code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "tensor",
+                         "--degree", "4"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: boundary block") and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestReconstructionGuard:

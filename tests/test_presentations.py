@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 from contextlib import nullcontext
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +23,10 @@ from hopfquotients.presentations import (
     quotient_dim,
     relation_rows,
 )
-from hopfquotients.tensorspace import block_index
 
 
-def spec(functor, rank, kind, m, parity="none"):
-    return FunctorSpec(functor, rank, HopfAlgebra(kind, m), parity)
+def spec(functor, rank, kind, m, parity="none", sign=False):
+    return FunctorSpec(functor, rank, HopfAlgebra(kind, m), parity, sign)
 
 
 class TestFunctorSpec:
@@ -134,6 +135,19 @@ class TestBlockResult:
         assert res.quotient_dim == res.ambient_dim - res.rank == 1
 
 
+    def test_rows_reach_the_rank_in_generation_order(self, monkeypatch):
+        s = spec(H_FUNCTOR, 2, TENSOR, 3)
+        handed = []
+        monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
+        compute_block(s, (2, 1, 1))
+        expected = []
+        for row in relation_rows(s, (2, 1, 1))[1]:
+            norm = exactla._normalize_row(row)
+            if norm not in expected:
+                expected.append(norm)
+        assert handed == [expected]
+
+
 class TestCaching:
     def setup_method(self):
         presentations._MEM_CACHE.clear()
@@ -192,6 +206,35 @@ class TestCaching:
         presentations._MEM_CACHE.clear()
         assert block_result(s, (3, 1), cache_dir=str(tmp_path)) == first
 
+    def test_sign_and_ordinary_blocks_are_cached_apart(self, tmp_path):
+        ordinary = spec(OMEGA_FUNCTOR, 2, TENSOR, 4)
+        sign = replace(ordinary, sign=True)
+        weight = (2, 1, 1, 0)
+        tokens = [presentations._cache_token(kind, weight) for kind in (ordinary, sign)]
+        assert tokens[0] != tokens[1]
+        a = block_result(ordinary, weight, cache_dir=str(tmp_path))
+        b = block_result(sign, weight, cache_dir=str(tmp_path))
+        # so that answering one from the other's record would show
+        assert a.quotient_dim != b.quotient_dim
+        paths = [Path(presentations._cache_path(str(tmp_path), token)) for token in tokens]
+        assert sorted(paths) == sorted(tmp_path.iterdir())
+        assert presentations._read_record(paths[0], sign, weight) is None
+        assert presentations._read_record(paths[1], ordinary, weight) is None
+
+        # each file holding the other kind's record is a miss, then recomputed
+        texts = [path.read_text() for path in paths]
+        paths[0].write_text(texts[1])
+        paths[1].write_text(texts[0])
+        presentations._MEM_CACHE.clear()
+        assert block_result(ordinary, weight, cache_dir=str(tmp_path)) == a
+        assert block_result(sign, weight, cache_dir=str(tmp_path)) == b
+
+    def test_sign_blocks_need_the_tensor_algebra_and_room(self):
+        with pytest.raises(ValueError):
+            FunctorSpec(H_FUNCTOR, 2, HopfAlgebra(SYM, 3), sign=True)
+        with pytest.raises(ValueError):
+            relation_rows(spec(H_FUNCTOR, 2, TENSOR, 3, sign=True), (2, 2, 0))
+
     def test_memory_cache_hit(self):
         s = spec(H_FUNCTOR, 2, SYM, 2)
         a = block_result(s, (2, 2))
@@ -223,9 +266,8 @@ def row_set_digest(s, weight):
 def row_order_digest(s, weight):
     """sha256 of the packed relation rows in the order they are
     generated, before normalization and dedup."""
-    basis, rows = relation_rows(s, weight)
-    index = block_index(basis)
-    packed = [sorted((index[t], c) for t, c in row.items()) for row in rows]
+    _, rows = relation_rows(s, weight)
+    packed = [sorted(row.items()) for row in rows]
     return hashlib.sha256(repr(packed).encode()).hexdigest()
 
 

@@ -11,6 +11,7 @@ from hopfquotients.tensorspace import (
     apply_atom,
     apply_expr,
     bar_relation_rows,
+    basis_size,
     block_index,
     tensor_basis,
 )
@@ -69,6 +70,12 @@ class TestTensorBasis:
                         brute.add((p0, p1, p2))
         assert set(basis) == brute
         assert len(basis) == 60
+
+    def test_basis_size_counts_without_building(self):
+        for H in (SYM2, TEN2, SYM3, TEN3):
+            for n in (1, 2, 3):
+                for weight in iproduct(range(3), repeat=H.num_vars):
+                    assert basis_size(H, n, weight) == len(tensor_basis(H, n, weight))
 
     def test_sorted_and_distinct(self):
         for H in (SYM2, TEN2):
