@@ -4,7 +4,6 @@ Hopf-algebra tensor powers."""
 from .combinatorics import (
     cusp_dim,
     kostka,
-    mf_dim,
     omega2_sym_multiplicity,
     omega_dim,
     partitions_of,
@@ -19,9 +18,6 @@ from .presentations import (
     FunctorSpec,
     H_FUNCTOR,
     OMEGA_FUNCTOR,
-    gl2_h1_dim,
-    h1_dim,
-    quotient_dim,
     relation_rows,
 )
 from .version import engine_version
@@ -37,14 +33,10 @@ __all__ = [
     "cusp_dim",
     "decompose",
     "engine_version",
-    "gl2_h1_dim",
-    "h1_dim",
     "kostka",
-    "mf_dim",
     "omega2_sym_multiplicity",
     "omega_dim",
     "partitions_of",
-    "quotient_dim",
     "rank2_multiplicity",
     "rank3_h_bound",
     "rank3_omega_bound",

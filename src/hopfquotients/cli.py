@@ -6,9 +6,12 @@ Three subcommands, all emitting canonical JSON on stdout:
   verify    recompute table entries and diff against expectations
   bounds    compare computed multiplicities with the closed formulas
 
-Exit codes: 0 success, 1 verification mismatch, bound violation or
-block dimensions that fail the Kostka/Weyl reconstruction identity,
-2 bad usage, unreadable input or an unusable --cache-dir.
+Exit codes: 0 success; 1 verification mismatch, bound violation, or
+a cell whose block dimensions give a negative multiplicity, disagree
+with its tensor boundary block or fail the Weyl reconstruction identity
+(which only faulty Kostka, Weyl-dimension or orbit counts can fail);
+2 bad usage (--jobs below 1 included), unreadable input or an unusable
+--cache-dir.
 """
 
 from __future__ import annotations
@@ -89,9 +92,20 @@ def cmd_bounds(args) -> int:
     return 0 if report.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_common(parser) -> None:
     parser.add_argument("--cache-dir", default=None, help="directory for cached block results")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for weight blocks")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel workers for weight blocks")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,26 +59,6 @@ def conjugate(lam) -> tuple:
     return tuple(sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0))
 
 
-def weight_to_partition(weight) -> tuple:
-    return tuple(sorted((w for w in weight if w > 0), reverse=True))
-
-
-def dominates(lam, mu) -> bool:
-    """Dominance order: partial sums of lam bound those of mu.
-
-    Both arguments must be partitions of the same integer.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares partitions of equal size")
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam[i] if i < len(lam) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
-
-
 def _strip_removals(shape, size):
     """Subshapes nu of shape with shape/nu a horizontal strip of the
     given size: one cell range removable per row, no two removed cells
@@ -159,15 +139,6 @@ def cusp_dim(w: int) -> int:
     if w % 12 == 2:
         return w // 12 - 1
     return w // 12
-
-
-def mf_dim(w: int) -> int:
-    """dim of the full space of weight-w modular forms for SL_2(Z)."""
-    if w < 0 or w % 2 == 1:
-        return 0
-    if w % 12 == 2:
-        return w // 12
-    return w // 12 + 1
 
 
 def omega_dim(k: int) -> int:

@@ -7,24 +7,22 @@ numbers, and walking dominant weights in descending lexicographic order
 (a linear extension of dominance), the system is unitriangular and
 solves by back substitution.
 
-Over the tensor algebra with at least as many variables as the degree
-d, the solve runs from both ends of dominance.  The block at lam has
-M(lam) = d!/prod(lam_i!) times a constant columns, and
-{lam : M(lam) <= M(lam')} is an up-set.  It is solved top down from
-ordinary weight blocks, as above.  The down-set is solved bottom up
-from the sign blocks at lam' (see presentations), whose dimensions are
-sum_kappa mult_kappa * K_{kappa',lam'}, again unitriangular.  So the
-multilinear block, the largest one, is never built.  One boundary
-block, the smallest of the ordinary blocks on the down-set and the
-sign blocks at lam' for lam on the up-set, is computed as well and
-must match the value the multiplicities of both halves predict.
-weight_dims then holds the computed dimension on the up-set and the
-predicted sum_kappa mult_kappa * K_{kappa,mu} on the down-set.  Sym
-cells, and tensor cells with fewer variables than the degree, use
-ordinary blocks only.
+Over the tensor algebra, the solve runs from both ends of dominance.
+In degree d, the block at lam has M(lam) = d!/prod(lam_i!) times a
+constant columns, and {lam : M(lam) <= M(lam')} is an up-set.  It is
+solved top down from ordinary weight blocks, as above.  The down-set
+is solved bottom up from the sign blocks at lam' (see presentations),
+whose dimensions are sum_kappa mult_kappa * K_{kappa',lam'}, again
+unitriangular.  So the multilinear block, the largest one, is never
+built.  One boundary block, the smallest of the ordinary blocks on the
+down-set and the sign blocks at lam' for lam on the up-set, is
+computed as well and must match the value the multiplicities of both
+halves predict.  weight_dims then holds the computed dimension on the
+up-set and the predicted sum_kappa mult_kappa * K_{kappa,mu} on the
+down-set.  Sym cells use ordinary blocks only.
 
-The number of variables defaults to the row bound: rank many for sym,
-the degree for tensor; no partition with more rows can appear.
+The number of variables is the row bound: rank many for sym, the
+degree for tensor; no partition with more rows can appear.
 """
 
 from __future__ import annotations
@@ -141,22 +139,21 @@ def _predicted(block, entries) -> int:
 def decompose(
     spec: FunctorSpec,
     degree: int,
-    num_vars: int | None = None,
     jobs: int = 1,
     cache_dir=None,
 ) -> Decomposition:
     """Decompose one graded piece of the chosen functor.
 
     The hopf algebra inside spec only contributes its kind; the number
-    of variables is replaced by num_vars (default: the row bound).
+    of variables is replaced by the row bound.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if spec.sign:
         raise ValueError("decompose takes a spec of weight blocks, not sign blocks")
-    m = num_vars if num_vars is not None else default_num_vars(spec, degree)
+    m = default_num_vars(spec, degree)
     wspec = spec.with_num_vars(m)
-    two_ended = wspec.hopf.kind == TENSOR and m >= degree
+    two_ended = wspec.hopf.kind == TENSOR
     sspec = replace(wspec, sign=True) if two_ended else None
     parts = partitions_of(degree, m)
 
@@ -206,8 +203,11 @@ def decompose(
 
 
 def _check_reconstruction(dec: Decomposition) -> None:
-    """Weyl-dimension sum must reproduce the orbit-summed block dims;
-    hook content and tableau counting arrive there independently."""
+    """The Weyl-dimension sum must reproduce the orbit-summed block
+    dims.  weight_dims equals sum_kappa mult_kappa * K_{kappa,mu} by
+    construction, so this checks kostka, weyl_dim and weight_orbit_size
+    against each other, not the block dimensions: a wrong block rank
+    that leaves every multiplicity nonnegative passes it."""
     via_weyl = dec.total_dim()
     via_blocks = dec.summed_block_dims()
     if via_weyl != via_blocks:

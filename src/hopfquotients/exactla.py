@@ -9,15 +9,11 @@ by (p * row_j - v * row_i) / gcd, so no rationals ever appear.  Pivots
 are chosen Markowitz style, cheapest column first and shortest row
 within it, with deterministic tie breaks, so a given matrix always
 eliminates the same way.
-
-rank_dense is an independent textbook elimination over Fraction kept
-as a cross check; the two must agree on everything.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 # strip common content from a row once coefficients pass this many bits
@@ -125,32 +121,4 @@ def rank_sparse(rows) -> int:
                     heapq.heappush(heap, (len(cols[col]), col))
             live[j] = new
         cols.pop(c, None)
-    return rank
-
-
-def rank_dense(rows, ncols: int) -> int:
-    """Reference rank over Fraction, row reduction with no cleverness."""
-    mat = []
-    for row in rows:
-        dense = [Fraction(0)] * ncols
-        for c, v in row.items():
-            dense[c] = Fraction(v)
-        mat.append(dense)
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while col < ncols and rank < nrows:
-        pivot = next((i for i in range(rank, nrows) if mat[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
     return rank

@@ -8,9 +8,11 @@ corresponding block of H^(x)rank and reports the quotient dimension.
 Every presentation, ranks 1 to 3, is one entry of RELATIONS: a tuple
 of relations, each a formal sum of words in the slot operators of
 tensorspace, applied on the right (left to right) to each basis tuple
-of the block.  Conjugation-defect rows from bar_relation_rows are always
-included, so every quotient is really a quotient of the reduced tensor
-power; for the tensor algebra they also carry the commutators of rank 1.
+of the block.  Every block first imposes the conjugation defect, the
+one-word relation (('ad',),), so every quotient is really a quotient of
+the reduced tensor power; for the tensor algebra it also carries the
+commutators of rank 1.  So every row is the image of one relation on
+one basis tuple.
 
 A spec with sign=True asks, over the tensor algebra, for sign blocks.
 The sign block at a weight nu of size d is the part of the multilinear
@@ -21,9 +23,8 @@ dimension is sum_lam mult_lam * K_{lam',nu}.  S_nu acts freely on
 multilinear tuples and the relations commute with it, so the block has
 one column per orbit, indexed by the ordinary weight-nu basis (each
 tuple stands for its standardization), and its rows are the rows of
-the orbit representatives, bar rows included, folded back onto the
-representatives with the sign of the relabelling.  An ordinary block is
-the identity fold.
+the orbit representatives, folded back onto the representatives with
+the sign of the relabelling.  An ordinary block is the identity fold.
 """
 
 from __future__ import annotations
@@ -33,16 +34,10 @@ import os
 import hashlib
 import tempfile
 from dataclasses import dataclass, replace
-from math import comb
 
-from .exactla import rank_distinct, rank_sparse
-from .hopf import SYM, TENSOR, HopfAlgebra, add_into
-from .tensorspace import (
-    apply_expr,
-    bar_relation_rows,
-    block_index,
-    tensor_basis,
-)
+from .exactla import rank_distinct
+from .hopf import SYM, TENSOR, HopfAlgebra
+from .tensorspace import apply_expr, block_index, tensor_basis
 from .version import engine_version
 
 H_FUNCTOR = "H"
@@ -59,6 +54,8 @@ _F = ("F",)
 _U0 = ("U", 0)
 _U1 = ("U", 1)
 _ID = (1, ())
+# the conjugation defect, imposed in every block before RELATIONS
+_CONJUGATION_DEFECT = ((1, (("ad",),)),)
 
 # The six rank-3 relation operators for the finer quotient, as formal
 # sums of words.  Words act left to right: (u, v) means u then v.
@@ -240,9 +237,10 @@ def relation_rows(spec: FunctorSpec, weight):
 
     Returns (basis, rows) where rows are integer dict-vectors over
     column indices into basis, each packed as soon as it is generated:
-    the conjugation-defect rows, then, basis tuple by basis tuple, the
-    nonzero images of the spec's relations.  For a sign block every row
-    is generated from a standardized tuple and folded back first.
+    the nonzero images of the conjugation defect on every basis tuple,
+    then, basis tuple by basis tuple, those of the spec's relations.
+    For a sign block every row is generated from a standardized tuple
+    and folded back first.
     """
     H = spec.hopf
     weight = tuple(weight)
@@ -255,16 +253,13 @@ def relation_rows(spec: FunctorSpec, weight):
     basis = tensor_basis(H, spec.rank, weight)
     index = block_index(basis)
     rows = []
-    for row in bar_relation_rows(H, spec.rank, weight, standardize):
-        row = fold(row)
-        if row:
-            rows.append({index[t]: c for t, c in row.items()})
-    for t in basis:
-        seed = standardize(t)
-        for expr in exprs:
-            row = fold(apply_expr(H, expr, seed))
-            if row:
-                rows.append({index[u]: c for u, c in row.items()})
+    for group in ((_CONJUGATION_DEFECT,), exprs):
+        for t in basis:
+            seed = standardize(t)
+            for expr in group:
+                row = fold(apply_expr(H, expr, seed))
+                if row:
+                    rows.append({index[u]: c for u, c in row.items()})
     return basis, rows
 
 
@@ -380,90 +375,3 @@ def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
             os.unlink(tmp)
             raise
     return result
-
-
-def quotient_dim(spec: FunctorSpec, weight, cache_dir=None) -> int:
-    return block_result(spec, weight, cache_dir=cache_dir).quotient_dim
-
-
-# --- rank 1 cross check ------------------------------------------------
-
-def h1_dim(hopf: HopfAlgebra, weight) -> int:
-    """Dimension of the image of (id - S) on the weight block of the
-    cyclic quotient H / [H, H].  Computed as a rank difference against
-    an explicit commutator spanning set, independently of the
-    presentation route above."""
-    weight = tuple(weight)
-    elements = hopf.elements_of_weight(weight)
-    index = {e: i for i, e in enumerate(elements)}
-    comm_rows = []
-    if hopf.kind == TENSOR:
-        for a, b in tensor_basis(hopf, 2, weight):
-            if hopf.degree(a) == 0 or hopf.degree(b) == 0:
-                continue
-            row: dict = {index[hopf.product(a, b)]: 1}
-            add_into(row, index[hopf.product(b, a)], -1)
-            if row:
-                comm_rows.append(row)
-    image_rows = []
-    for e in elements:
-        sign, se = hopf.antipode(e)
-        row = {index[e]: 1}
-        add_into(row, index[se], -sign)
-        if row:
-            image_rows.append(row)
-    base = rank_sparse(comm_rows)
-    return rank_sparse(comm_rows + image_rows) - base
-
-
-# --- degree one cohomology of GL_2(Z) ---------------------------------
-
-_GL2_S = (0, 1, -1, 0)
-_GL2_ST = (0, 1, -1, -1)
-_GL2_ST2 = (-1, -1, 1, 0)
-_GL2_TAU = (0, 1, 1, 0)
-
-
-def _substitute(poly: dict, mat) -> dict:
-    """Right substitution action on binary forms: x and y are replaced
-    by the rows of mat."""
-    a, b, c, d = mat
-    out: dict = {}
-    for (i, j), coeff in poly.items():
-        for r in range(i + 1):
-            base = coeff * comb(i, r) * a**r * b ** (i - r)
-            if base == 0:
-                continue
-            for s in range(j + 1):
-                co = base * comb(j, s) * c**s * d ** (j - s)
-                if co:
-                    add_into(out, (r + s, (i - r) + (j - s)), co)
-    return out
-
-
-def gl2_h1_dim(g: int, twist: str) -> int:
-    """dim H^1 of GL_2(Z) with coefficients in binary forms of degree g,
-    twisted by the determinant when twist is "odd".
-
-    Presented as the forms modulo the images of 1 + s, 1 + st + (st)^2
-    and 1 -+ tau, with s, t the standard generators.
-    """
-    if g < 0:
-        raise ValueError("degree must be nonnegative")
-    if twist not in ("even", "odd"):
-        raise ValueError(f"twist must be even or odd, got {twist!r}")
-    tau_sign = -1 if twist == "even" else 1
-    rows = []
-    for k in range(g + 1):
-        mono = {(k, g - k): 1}
-        for mats, signs in (
-            ((_GL2_S,), (1,)),
-            ((_GL2_ST, _GL2_ST2), (1, 1)),
-            ((_GL2_TAU,), (tau_sign,)),
-        ):
-            row = dict(mono)
-            for mat, sign in zip(mats, signs):
-                for (i, j), coeff in _substitute(mono, mat).items():
-                    add_into(row, (i, j), sign * coeff)
-            rows.append({i: c for (i, _), c in row.items()})
-    return (g + 1) - rank_sparse(rows)

@@ -9,9 +9,15 @@ combinations of composable atoms:
     ('U', i)         keep a tuple whose slot i is the unit, drop any other
     ('E',)           split slot 0, multiply one leg onto slot 1 from the left
     ('F',)           split slot 1, multiply one leg onto slot 0 from the right
+    ('ad',)          take the leading letter v off slot 0, leaving r; sum
+                     over slots i of r with v * r_i in slot i, minus r
+                     with r_i * v in slot i
 
 E and F act on slots 0 and 1 of a tuple of any length; later slots
-pass through unchanged.
+pass through unchanged.  ad is the conjugation defect: each block
+tuple whose slot 0 is not the unit is v glued onto one r, so its
+images span the defect inside the block.  It is zero on a unit slot 0
+and over sym, which is commutative.
 
 An operator word is a tuple of atoms, applied to a vector left to
 right: the word (u, v) means "apply u, then v".  This is the reading
@@ -87,6 +93,15 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
     if kind == "F":
         a, b, rest = t[0], t[1], t[2:]
         return {(H.product(a, b1), b2) + rest: coeff for b1, b2, coeff in H.coproduct(b)}
+    if kind == "ad":
+        if H.kind == SYM or H.degree(t[0]) == 0:
+            return {}
+        gen, r = t[0][:1], (t[0][1:],) + t[1:]
+        out: dict = {}
+        for i, elem in enumerate(r):
+            add_into(out, r[:i] + (H.product(gen, elem),) + r[i + 1 :], 1)
+            add_into(out, r[:i] + (H.product(elem, gen),) + r[i + 1 :], -1)
+        return out
     raise ValueError(f"unknown atom {atom!r}")
 
 
@@ -104,39 +119,3 @@ def apply_expr(H: HopfAlgebra, expr, t: tuple) -> dict:
         for tup, c in terms:
             out[tup] = out.get(tup, 0) + c
     return {tup: c for tup, c in out.items() if c}
-
-
-def bar_relation_rows(H: HopfAlgebra, n: int, weight: tuple, relabel=None):
-    """Rows spanning the conjugation defect inside the weight block.
-
-    For the tensor algebra these are, for every generator v and every
-    block tuple t one v short of the weight, the sum over slots of
-    (v * t_i - t_i * v) placed in slot i.  The symmetric algebra is
-    commutative, so there are none.
-
-    relabel, if given, maps the tuple (v,) + t to the one whose row is
-    built instead, e.g. its standardization.
-    """
-    weight = tuple(weight)
-    if H.kind == SYM:
-        return []
-    rows = []
-    for v in range(H.num_vars):
-        if weight[v] == 0:
-            continue
-        reduced = tuple(w - 1 if u == v else w for u, w in enumerate(weight))
-        head = (H.generator(v),)
-        for t in tensor_basis(H, n, reduced):
-            seed = head + t
-            if relabel is not None:
-                seed = relabel(seed)
-            gen, t = seed[0], seed[1:]
-            row: dict = {}
-            for i, elem in enumerate(t):
-                left = t[:i] + (H.product(gen, elem),) + t[i + 1 :]
-                right = t[:i] + (H.product(elem, gen),) + t[i + 1 :]
-                add_into(row, left, 1)
-                add_into(row, right, -1)
-            if row:
-                rows.append(row)
-    return rows

@@ -6,6 +6,10 @@ the Hopf structure maps; the engine's relations use none of them.  They
 check the engine's atoms (E and F against merge and counit, swap and
 antipode against tau and delta) and the Hopf identities.
 
+bar_rows() generates the conjugation-defect rows indexed by pairs
+(v, t) of a generator and a tuple one v short of the weight, the
+reference for the engine's ('ad',) word.
+
 reversed_reading() swaps in the other composition order of the rank-3
 operator words, so a test can show that it is not the one matching the
 published tables.
@@ -16,7 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 from hopfquotients import presentations
-from hopfquotients.hopf import add_into
+from hopfquotients.hopf import SYM, add_into
 from hopfquotients.presentations import RANK3_H_EXPRS, SYM_EVEN_EXPRS, SYM_ODD_EXPRS
 from hopfquotients import tensorspace
 
@@ -91,6 +95,33 @@ def merge_slots(H, vec, slot):
         merged = H.product(t[slot], t[slot + 1])
         add_into(out, t[:slot] + (merged,) + t[slot + 2 :], c)
     return out
+
+
+def bar_rows(H, n, weight, relabel=lambda seed: seed):
+    """Rows spanning the conjugation defect inside the weight block: for
+    every generator v and every block tuple t one v short of the
+    weight, in that order, the sum over slots of (v * t_i - t_i * v)
+    placed in slot i.  None over sym, which is commutative.
+
+    relabel maps the tuple (v,) + t to the one whose row is built
+    instead, e.g. its standardization in a sign block."""
+    if H.kind == SYM:
+        return []
+    rows = []
+    for v in range(H.num_vars):
+        if weight[v] == 0:
+            continue
+        reduced = tuple(w - 1 if u == v else w for u, w in enumerate(weight))
+        for t in tensorspace.tensor_basis(H, n, reduced):
+            seed = relabel((H.generator(v),) + t)
+            gen, t = seed[0], seed[1:]
+            row: dict = {}
+            for i, elem in enumerate(t):
+                add_into(row, t[:i] + (H.product(gen, elem),) + t[i + 1 :], 1)
+                add_into(row, t[:i] + (H.product(elem, gen),) + t[i + 1 :], -1)
+            if row:
+                rows.append(row)
+    return rows
 
 
 def reversed_relations():

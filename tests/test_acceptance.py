@@ -4,7 +4,7 @@ Each test covers one shipped guarantee and reports a single
 "[criterion NN] PASS/FAIL" line on the terminal, bypassing capture, so
 a full run reads as a checklist.  Expected decompositions come from the
 packaged expected-value table (data/paper-tables.json); closed-form
-expectations come from combinatorics.
+expectations come from combinatorics and tests/reference_dims.py.
 """
 
 import json
@@ -15,21 +15,19 @@ import time
 from contextlib import contextmanager
 
 import reference_ops as ref
+from reference_dims import gl2_h1_dim, mf_dim, quotient_dim, rank_dense
 from hopfquotients.combinatorics import (
     cusp_dim,
-    mf_dim,
     omega2_sym_multiplicity,
     partitions_of,
 )
 from hopfquotients.decompose import decompose, verify_bounds
-from hopfquotients.exactla import rank_dense, rank_sparse
+from hopfquotients.exactla import rank_sparse
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra, add_into
 from hopfquotients.presentations import (
     H_FUNCTOR,
     OMEGA_FUNCTOR,
     FunctorSpec,
-    gl2_h1_dim,
-    quotient_dim,
     relation_rows,
 )
 from hopfquotients.tables import load_expected, verify_against

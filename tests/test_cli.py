@@ -202,3 +202,11 @@ class TestUsageErrors:
         res = run("compute", "--functor", "X", "--rank", "2", "--hopf", "sym",
                   "--degree", "4")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, jobs):
+        res = run("compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
+                  "--degree", "4", "--jobs", jobs)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--jobs" in res.stderr

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hopfquotients.combinatorics import (
     conjugate,
     cusp_dim,
-    dominates,
     is_partition,
     kostka,
-    mf_dim,
     omega2_sym_multiplicity,
     omega_cusp_dim,
     omega_dim,
@@ -17,9 +15,9 @@ from hopfquotients.combinatorics import (
     rank2_multiplicity,
     rank3_h_bound,
     rank3_omega_bound,
-    weight_to_partition,
     weyl_dim,
 )
+from reference_dims import dominates, mf_dim, weight_to_partition
 
 
 def brute_partitions(n, max_parts):

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from reference_ops import reversed_reading
-from hopfquotients.combinatorics import cusp_dim, mf_dim
+from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
+from reference_ops import bar_rows, reversed_reading
+from hopfquotients.combinatorics import cusp_dim, partitions_of
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients import presentations
@@ -18,9 +19,6 @@ from hopfquotients.presentations import (
     FunctorSpec,
     block_result,
     compute_block,
-    gl2_h1_dim,
-    h1_dim,
-    quotient_dim,
     relation_rows,
 )
 
@@ -269,6 +267,35 @@ def row_order_digest(s, weight):
     _, rows = relation_rows(s, weight)
     packed = [sorted(row.items()) for row in rows]
     return hashlib.sha256(repr(packed).encode()).hexdigest()
+
+
+class TestConjugationDefectRows:
+    """relation_rows imposes the conjugation defect as the word (('ad',),)
+    over the block basis; its rows are the (v, t)-indexed reference rows,
+    in the same order, for ordinary and sign blocks alike."""
+
+    @pytest.mark.parametrize("sign", [False, True])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rows_match_the_reference_in_order(self, rank, sign, monkeypatch):
+        # with no relations in the table, only the defect's rows remain
+        monkeypatch.setattr(presentations, "RELATIONS",
+                            {key: () for key in presentations.RELATIONS})
+        for degree in range(5):
+            m = max(degree, 1)
+            s = spec(H_FUNCTOR, rank, TENSOR, m, sign=sign)
+            for lam in partitions_of(degree, m):
+                weight = tuple(lam) + (0,) * (m - len(lam))
+                basis, rows = relation_rows(s, weight)
+                standardize, fold = (
+                    presentations._sign_fold(weight) if sign else (lambda t: t, lambda r: r)
+                )
+                index = {t: i for i, t in enumerate(basis)}
+                expected = []
+                for row in bar_rows(s.hopf, rank, weight, standardize):
+                    row = fold(row)
+                    if row:
+                        expected.append({index[t]: c for t, c in row.items()})
+                assert rows == expected, (rank, sign, weight)
 
 
 class TestRowGolden:

@@ -10,7 +10,6 @@ from hopfquotients.presentations import RELATIONS
 from hopfquotients.tensorspace import (
     apply_atom,
     apply_expr,
-    bar_relation_rows,
     basis_size,
     block_index,
     tensor_basis,
@@ -289,16 +288,38 @@ class TestSlotOperations:
         assert apply_word(SYM2, (), t) == {t: 1}
 
 
+AD = ((1, (("ad",),)),)
+
+
 class TestBarRows:
+    """Bar rows: the images of the conjugation-defect word (('ad',),)."""
+
     def test_sym_has_none(self):
-        assert bar_relation_rows(SYM2, 2, (3, 1)) == []
+        for t in tensor_basis(SYM2, 2, (3, 1)):
+            assert apply_expr(SYM2, AD, t) == {}
+
+    def test_unit_slot_zero_has_none(self):
+        for t in tensor_basis(TEN2, 3, (2, 1)):
+            if t[0] == ():
+                assert apply_expr(TEN2, AD, t) == {}
 
     def test_rows_live_in_block_and_sum_to_zero(self):
         for weight in [(2, 1), (1, 1), (3, 0)]:
-            basis = set(tensor_basis(TEN2, 2, weight))
-            for row in bar_relation_rows(TEN2, 2, weight):
-                assert set(row) <= basis
+            basis = tensor_basis(TEN2, 2, weight)
+            for t in basis:
+                row = apply_expr(TEN2, AD, t)
+                assert set(row) <= set(basis)
                 assert sum(row.values()) == 0
+
+    def test_defect_of_a_leading_letter(self):
+        # the letter 0 comes off slot 0, leaving r = ((1,), (1,))
+        t = ((0, 1), (1,))
+        assert apply_atom(TEN2, ("ad",), t) == {
+            ((0, 1), (1,)): 1,
+            ((1, 0), (1,)): -1,
+            ((1,), (0, 1)): 1,
+            ((1,), (1, 0)): -1,
+        }
 
     def necklace_count(self, weight):
         """Orbits of words under rotation, brute force."""
@@ -319,5 +340,5 @@ class TestBarRows:
         for weight in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
             basis = tensor_basis(TEN2, 1, weight)
             idx = block_index(basis)
-            rows = [{idx[t]: c for t, c in row.items()} for row in bar_relation_rows(TEN2, 1, weight)]
+            rows = [{idx[u]: c for u, c in apply_expr(TEN2, AD, t).items()} for t in basis]
             assert len(basis) - rank_distinct(rows) == self.necklace_count(weight)
