@@ -11,8 +11,9 @@ Over the tensor algebra, the solve runs from both ends of dominance.
 In degree d, the block at lam has M(lam) = d!/prod(lam_i!) times a
 constant columns, and {lam : M(lam) <= M(lam')} is an up-set.  It is
 solved top down from ordinary weight blocks, as above.  The down-set
-is solved bottom up from the sign blocks at lam' (see presentations),
-whose dimensions are sum_kappa mult_kappa * K_{kappa',lam'}, again
+is solved bottom up from the sign blocks at lam': the weight blocks at
+lam' of the same functor over odd generators (see presentations), whose
+dimensions are sum_kappa mult_kappa * K_{kappa',lam'}, again
 unitriangular.  So the multilinear block, the largest one, is never
 built.  One boundary block, the smallest of the ordinary blocks on the
 down-set and the sign blocks at lam' for lam on the up-set, is
@@ -132,7 +133,7 @@ def _predicted(block, entries) -> int:
     mult_kappa * K_{kappa,mu} for the weight block at mu, and of
     mult_kappa * K_{kappa',nu} for the sign block at nu."""
     spec, weight = block
-    return sum(mult * kostka(conjugate(kappa) if spec.sign else kappa, weight)
+    return sum(mult * kostka(conjugate(kappa) if spec.hopf.odd else kappa, weight)
                for kappa, mult in entries.items())
 
 
@@ -144,17 +145,18 @@ def decompose(
 ) -> Decomposition:
     """Decompose one graded piece of the chosen functor.
 
-    The hopf algebra inside spec only contributes its kind; the number
-    of variables is replaced by the row bound.
+    The hopf algebra inside spec only contributes its kind, and its
+    generators must be even; the number of variables is replaced by the
+    row bound.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if spec.sign:
-        raise ValueError("decompose takes a spec of weight blocks, not sign blocks")
+    if spec.hopf.odd:
+        raise ValueError("decompose takes a spec over even generators")
     m = default_num_vars(spec, degree)
     wspec = spec.with_num_vars(m)
     two_ended = wspec.hopf.kind == TENSOR
-    sspec = replace(wspec, sign=True) if two_ended else None
+    sspec = replace(wspec, hopf=replace(wspec.hopf, odd=True)) if two_ended else None
     parts = partitions_of(degree, m)
 
     def ordinary(lam):

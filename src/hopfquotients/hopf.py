@@ -7,7 +7,12 @@ their monomial bases.
 * kind "tensor": the tensor algebra on num_vars generators, primitive
   generators.  Basis elements are words (tuples of letter indices);
   the product concatenates, the coproduct unshuffles, and the antipode
-  reverses with a sign.
+  reverses with a sign.  With odd=True every generator is odd and the
+  algebra is super: a word of length k has parity k, the coproduct term
+  whose left leg takes positions p_0 < ... < p_{r-1} carries the Koszul
+  sign (-1)^(sum of p_i - i), and the antipode of a word of length k
+  carries (-1)^(k + k(k-1)/2).  Its weight blocks are the sign blocks
+  of the even algebra (super Schur-Weyl duality).
 
 All structure constants are integers, so vectors are dicts mapping
 basis elements to ints (callers who need rationals can wrap them in
@@ -53,14 +58,20 @@ def prod_comb(alpha, beta) -> int:
 
 
 @lru_cache(maxsize=None)
-def _word_coproduct(word):
+def _word_coproduct(word, odd):
+    """Unshuffle terms (left, rest, coeff) with equal pairs merged and
+    cancelled ones dropped, so every pair appears once, with a nonzero
+    coefficient.  Both products are cancellative, so distinct pairs stay
+    distinct when a leg is multiplied on, and E and F never merge or
+    cancel terms."""
     k = len(word)
     counts: dict = {}
     for r in range(k + 1):
         for pos in combinations(range(k), r):
             rest = tuple(word[i] for i in range(k) if i not in pos)
             left = tuple(word[i] for i in pos)
-            counts[(left, rest)] = counts.get((left, rest), 0) + 1
+            sign = (-1) ** (sum(pos) - r * (r - 1) // 2) if odd else 1
+            add_into(counts, (left, rest), sign)
     return tuple((a, b, c) for (a, b), c in counts.items())
 
 
@@ -70,12 +81,16 @@ class HopfAlgebra:
 
     kind: str
     num_vars: int
+    # odd generators, tensor only (see the module docstring)
+    odd: bool = False
 
     def __post_init__(self):
         if self.kind not in (SYM, TENSOR):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
+        if self.odd and self.kind != TENSOR:
+            raise ValueError("odd generators only exist for the tensor algebra")
 
     @property
     def one(self):
@@ -107,13 +122,14 @@ class HopfAlgebra:
         left (x) right equal to the coproduct of x."""
         if self.kind == SYM:
             return _sym_coproduct(x)
-        return _word_coproduct(x)
+        return _word_coproduct(x, self.odd)
 
     def antipode(self, x):
         """The antipode of a basis element, as a (sign, element) pair."""
         if self.kind == SYM:
             return (-1) ** sum(x), x
-        return (-1) ** len(x), tuple(reversed(x))
+        k = len(x)
+        return (-1) ** (k + k * (k - 1) // 2 if self.odd else k), tuple(reversed(x))
 
     def counit(self, x) -> int:
         return 1 if self.degree(x) == 0 else 0

@@ -14,17 +14,15 @@ the reduced tensor power; for the tensor algebra it also carries the
 commutators of rank 1.  So every row is the image of one relation on
 one basis tuple.
 
-A spec with sign=True asks, over the tensor algebra, for sign blocks.
-The sign block at a weight nu of size d is the part of the multilinear
-block (letters 0..d-1, each once) on which the Young subgroup S_nu,
-permuting each run of nu_j consecutive letters, acts by its sign; it is
-the weight-nu block of the functor on odd generators, and its quotient
-dimension is sum_lam mult_lam * K_{lam',nu}.  S_nu acts freely on
-multilinear tuples and the relations commute with it, so the block has
-one column per orbit, indexed by the ordinary weight-nu basis (each
-tuple stands for its standardization), and its rows are the rows of
-the orbit representatives, folded back onto the representatives with
-the sign of the relabelling.  An ordinary block is the identity fold.
+Over the tensor algebra with odd generators, HopfAlgebra(TENSOR, m,
+odd=True), the slot operators carry Koszul signs (see hopf and
+tensorspace) and a weight block is a sign block of the even algebra:
+at a weight nu of size d, the part of the multilinear block on which
+the Young subgroup S_nu acts by its sign, with quotient dimension
+sum_lam mult_lam * K_{lam',nu}.  Its rows are generated like any
+other block's, from its own basis tuples; the tests compare them with
+the multilinear block's rows folded onto Young-subgroup orbits, which
+they equal up to one sign per column and one per row.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import tempfile
 from dataclasses import dataclass, replace
 
 from .exactla import rank_distinct
-from .hopf import SYM, TENSOR, HopfAlgebra
+from .hopf import SYM, HopfAlgebra
 from .tensorspace import apply_expr, block_index, tensor_basis
 from .version import engine_version
 
@@ -155,8 +153,6 @@ class FunctorSpec:
     rank: int
     hopf: HopfAlgebra
     parity: str = "none"
-    # sign blocks instead of weight blocks (see the module docstring)
-    sign: bool = False
 
     def __post_init__(self):
         if self.functor not in (H_FUNCTOR, OMEGA_FUNCTOR):
@@ -168,68 +164,13 @@ class FunctorSpec:
         if self.parity != "none":
             if self.rank != 3 or self.functor != H_FUNCTOR or self.hopf.kind != SYM:
                 raise ValueError("parity specialization only exists for rank-3 H over sym")
-        if self.sign and self.hopf.kind != TENSOR:
-            raise ValueError("sign blocks only exist over the tensor algebra")
 
     def with_num_vars(self, m: int) -> "FunctorSpec":
-        return replace(self, hopf=HopfAlgebra(self.hopf.kind, m))
+        return replace(self, hopf=replace(self.hopf, num_vars=m))
 
     def key(self) -> str:
         key = f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}|{self.parity}"
-        return key + "|sign" if self.sign else key
-
-
-def _identity(x):
-    return x
-
-
-def _sign_fold(weight):
-    """(standardize, fold) for the sign block at weight.
-
-    standardize maps a tuple of weight-nu words to its multilinear
-    standardization: the k-th occurrence of letter j, in reading order,
-    becomes start_j + k, where letter j's run starts at
-    start_j = nu_0 + ... + nu_{j-1}.  fold maps a row over multilinear
-    tuples to the sign-isotypic part: each tuple goes to the weight-nu
-    tuple of its orbit, times the sign of the relabelling within runs."""
-    starts = [0]
-    for w in weight:
-        starts.append(starts[-1] + w)
-    run = tuple(j for j, w in enumerate(weight) for _ in range(w))
-    folded: dict = {}
-
-    def standardize(t):
-        nxt = list(starts)
-        out = []
-        for word in t:
-            labels = []
-            for x in word:
-                labels.append(nxt[x])
-                nxt[x] += 1
-            out.append(tuple(labels))
-        return tuple(out)
-
-    def fold_tuple(u):
-        letters = [x for word in u for x in word]
-        inversions = sum(
-            1
-            for i, x in enumerate(letters)
-            for y in letters[:i]
-            if y > x and run[y] == run[x]
-        )
-        return tuple(tuple(run[x] for x in word) for word in u), -1 if inversions % 2 else 1
-
-    def fold(row):
-        out: dict = {}
-        for u, c in row.items():
-            hit = folded.get(u)
-            if hit is None:
-                hit = folded[u] = fold_tuple(u)
-            rep, sign = hit
-            out[rep] = out.get(rep, 0) + sign * c
-        return {rep: c for rep, c in out.items() if c}
-
-    return standardize, fold
+        return key + "|odd" if self.hopf.odd else key
 
 
 def relation_rows(spec: FunctorSpec, weight):
@@ -239,25 +180,20 @@ def relation_rows(spec: FunctorSpec, weight):
     column indices into basis, each packed as soon as it is generated:
     the nonzero images of the conjugation defect on every basis tuple,
     then, basis tuple by basis tuple, those of the spec's relations.
-    For a sign block every row is generated from a standardized tuple
-    and folded back first.
     """
     H = spec.hopf
     weight = tuple(weight)
     if spec.parity != "none" and sum(weight) % 2 != (spec.parity == "odd"):
         raise ValueError(f"weight {weight} has the wrong parity for {spec.parity!r}")
-    if spec.sign and sum(weight) > H.num_vars:
-        raise ValueError(f"a sign block at {weight} needs {sum(weight)} variables")
     exprs = RELATIONS[(spec.functor, spec.rank, spec.parity)]
-    standardize, fold = _sign_fold(weight) if spec.sign else (_identity, _identity)
-    basis = tensor_basis(H, spec.rank, weight)
+    # odd generators have the same basis: share the even block's cache entry
+    basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
     index = block_index(basis)
     rows = []
     for group in ((_CONJUGATION_DEFECT,), exprs):
         for t in basis:
-            seed = standardize(t)
             for expr in group:
-                row = fold(apply_expr(H, expr, seed))
+                row = apply_expr(H, expr, t)
                 if row:
                     rows.append({index[u]: c for u, c in row.items()})
     return basis, rows
@@ -302,7 +238,7 @@ def _spec_record(spec: FunctorSpec) -> dict:
         "hopf": spec.hopf.kind,
         "num_vars": spec.hopf.num_vars,
         "parity": spec.parity,
-        "sign": spec.sign,
+        "odd": spec.hopf.odd,
     }
 
 

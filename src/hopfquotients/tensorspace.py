@@ -19,6 +19,15 @@ tuple whose slot 0 is not the unit is v glued onto one r, so its
 images span the defect inside the block.  It is zero on a unit slot 0
 and over sym, which is commutative.
 
+Over odd generators (HopfAlgebra.odd) a word of length k has parity
+k, and an atom that moves odd words past each other carries the Koszul
+sign: swap(i, j), i < j, exchanging a and b across words of total
+length m between them, multiplies by (-1)^(|a||b| + (|a| + |b|) m); ad
+gives v * r_i the sign (-1)^(|r_0| + ... + |r_{i-1}|) of moving v
+past the slots before it, and r_i * v that sign times (-1)^|r_i|.  S,
+E and F take their signs from the antipode and the coproduct; U moves
+nothing.
+
 An operator word is a tuple of atoms, applied to a vector left to
 right: the word (u, v) means "apply u, then v".  This is the reading
 under which the presentations reproduce the published tables.
@@ -76,7 +85,11 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         _, i, j = atom
         lst = list(t)
         lst[i], lst[j] = lst[j], lst[i]
-        return {tuple(lst): 1}
+        if not H.odd:
+            return {tuple(lst): 1}
+        a, b = len(t[i]), len(t[j])
+        between = sum(map(len, t[min(i, j) + 1 : max(i, j)]))
+        return {tuple(lst): (-1) ** (a * b + (a + b) * between)}
     if kind == "S":
         i = atom[1]
         sign, elem = H.antipode(t[i])
@@ -85,8 +98,6 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         return {tuple(lst): sign}
     if kind == "U":
         return {t: 1} if H.degree(t[atom[1]]) == 0 else {}
-    # distinct coproduct terms give distinct tuples, as both products
-    # are cancellative, so E and F never merge or cancel terms
     if kind == "E":
         a, b, rest = t[0], t[1], t[2:]
         return {(a1, H.product(a2, b)) + rest: coeff for a1, a2, coeff in H.coproduct(a)}
@@ -98,9 +109,13 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
             return {}
         gen, r = t[0][:1], (t[0][1:],) + t[1:]
         out: dict = {}
+        sign = 1
         for i, elem in enumerate(r):
-            add_into(out, r[:i] + (H.product(gen, elem),) + r[i + 1 :], 1)
-            add_into(out, r[:i] + (H.product(elem, gen),) + r[i + 1 :], -1)
+            # the Koszul sign of moving v past elem
+            flip = -1 if H.odd and len(elem) % 2 else 1
+            add_into(out, r[:i] + (H.product(gen, elem),) + r[i + 1 :], sign)
+            add_into(out, r[:i] + (H.product(elem, gen),) + r[i + 1 :], -sign * flip)
+            sign *= flip
         return out
     raise ValueError(f"unknown atom {atom!r}")
 

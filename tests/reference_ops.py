@@ -10,18 +10,29 @@ bar_rows() generates the conjugation-defect rows indexed by pairs
 (v, t) of a generator and a tuple one v short of the weight, the
 reference for the engine's ('ad',) word.
 
+sign_fold() and sign_block_rows() build a sign block the long way:
+rows of the multilinear block of the even algebra, folded onto orbits
+of the Young subgroup with the sign of the relabelling.  The engine
+builds the same block as a weight block over odd generators.
+
 reversed_reading() swaps in the other composition order of the rank-3
 operator words, so a test can show that it is not the one matching the
 published tables.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 from hopfquotients import presentations
 from hopfquotients.hopf import SYM, add_into
-from hopfquotients.presentations import RANK3_H_EXPRS, SYM_EVEN_EXPRS, SYM_ODD_EXPRS
+from hopfquotients.presentations import (
+    _CONJUGATION_DEFECT,
+    RANK3_H_EXPRS,
+    SYM_EVEN_EXPRS,
+    SYM_ODD_EXPRS,
+)
 from hopfquotients import tensorspace
 
 
@@ -121,6 +132,78 @@ def bar_rows(H, n, weight, relabel=lambda seed: seed):
                 add_into(row, t[:i] + (H.product(elem, gen),) + t[i + 1 :], -1)
             if row:
                 rows.append(row)
+    return rows
+
+
+def sign_fold(weight):
+    """(standardize, fold) for the sign block at weight.
+
+    standardize maps a tuple of weight-nu words to its multilinear
+    standardization: the k-th occurrence of letter j, in reading order,
+    becomes start_j + k, where letter j's run starts at
+    start_j = nu_0 + ... + nu_{j-1}.  fold maps a row over multilinear
+    tuples to the sign-isotypic part: each tuple goes to the weight-nu
+    tuple of its orbit, times the sign of the relabelling within runs."""
+    starts = [0]
+    for w in weight:
+        starts.append(starts[-1] + w)
+    run = tuple(j for j, w in enumerate(weight) for _ in range(w))
+    folded: dict = {}
+
+    def standardize(t):
+        nxt = list(starts)
+        out = []
+        for word in t:
+            labels = []
+            for x in word:
+                labels.append(nxt[x])
+                nxt[x] += 1
+            out.append(tuple(labels))
+        return tuple(out)
+
+    def fold_tuple(u):
+        letters = [x for word in u for x in word]
+        inversions = sum(
+            1
+            for i, x in enumerate(letters)
+            for y in letters[:i]
+            if y > x and run[y] == run[x]
+        )
+        return tuple(tuple(run[x] for x in word) for word in u), -1 if inversions % 2 else 1
+
+    def fold(row):
+        out: dict = {}
+        for u, c in row.items():
+            hit = folded.get(u)
+            if hit is None:
+                hit = folded[u] = fold_tuple(u)
+            rep, sign = hit
+            out[rep] = out.get(rep, 0) + sign * c
+        return {rep: c for rep, c in out.items() if c}
+
+    return standardize, fold
+
+
+def sign_block_rows(spec, weight):
+    """The rows of the sign block at weight, in relation_rows' order,
+    as dicts over the weight's basis tuples: each basis tuple of the
+    even algebra is standardized, each relation applied to it there, and
+    the image folded back.  spec.hopf may be odd; its even twin is used,
+    and it needs as many variables as the weight's size."""
+    H = replace(spec.hopf, odd=False)
+    if sum(weight) > H.num_vars:
+        raise ValueError(f"a sign block at {weight} needs {sum(weight)} variables")
+    standardize, fold = sign_fold(weight)
+    basis = tensorspace.tensor_basis(H, spec.rank, tuple(weight))
+    rows = []
+    exprs = presentations.RELATIONS[(spec.functor, spec.rank, spec.parity)]
+    for group in ((_CONJUGATION_DEFECT,), exprs):
+        for t in basis:
+            seed = standardize(t)
+            for expr in group:
+                row = fold(tensorspace.apply_expr(H, expr, seed))
+                if row:
+                    rows.append(row)
     return rows
 
 

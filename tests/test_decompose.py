@@ -147,7 +147,7 @@ class TestDecompositionShape:
     def test_pool_results_reach_the_parent_cache(self, monkeypatch, clean_cache):
         s = spec(H_FUNCTOR, 2, TENSOR)
         first = decompose(s, 4, jobs=2)
-        sign = replace(first.spec, sign=True)
+        sign = replace(first.spec, hopf=replace(first.spec.hopf, odd=True))
         assert presentations.in_memory(sign, (4, 0, 0, 0))
         assert presentations.in_memory(sign, (3, 1, 0, 0))
 
@@ -187,7 +187,7 @@ class TestDecompositionShape:
         pooled = decompose(s, 5, jobs=2)
         sizes = [basis_size(bspec.hopf, bspec.rank, weight) for bspec, weight, _ in handed]
         assert len(sizes) > 2 and sizes == sorted(sizes, reverse=True)
-        assert any(bspec.sign for bspec, _, _ in handed)
+        assert any(bspec.hopf.odd for bspec, _, _ in handed)
         assert pooled.entries == serial.entries
         assert pooled.weight_dims == serial.weight_dims
 
@@ -224,7 +224,7 @@ class TestTwoEndedSolve:
         s = spec(functor, rank, TENSOR)
         mults = ordinary_multiplicities(s, degree)
         assert decompose(s, degree).entries == mults
-        sspec = replace(s.with_num_vars(max(degree, 1)), sign=True)
+        sspec = FunctorSpec(functor, rank, HopfAlgebra(TENSOR, max(degree, 1), odd=True))
         for lam in partitions_of(degree, degree):
             predicted = sum(mult * kostka(conjugate(kappa), lam) for kappa, mult in mults.items())
             assert quotient_dim(sspec, pad_weight(lam, max(degree, 1))) == predicted, lam
@@ -239,7 +239,7 @@ class TestTwoEndedSolve:
 
     def test_sign_spec_is_not_decomposed(self):
         with pytest.raises(ValueError):
-            decompose(replace(spec(H_FUNCTOR, 2, TENSOR), sign=True), 3)
+            decompose(FunctorSpec(H_FUNCTOR, 2, HopfAlgebra(TENSOR, 1, odd=True)), 3)
 
     @staticmethod
     def doctor(monkeypatch, delta):
@@ -251,7 +251,7 @@ class TestTwoEndedSolve:
 
         def doctored(s, weight):
             result = real(s, weight)
-            if s.sign and weight == (3, 1, 0, 0):
+            if s.hopf.odd and weight == (3, 1, 0, 0):
                 result = replace(result, rank=result.rank + delta)
             return result
 

@@ -62,8 +62,13 @@ def conv_antipode_right(H, x):
     return out
 
 
-ALGEBRAS = [HopfAlgebra(SYM, 2), HopfAlgebra(TENSOR, 2)]
-IDS = ["sym2", "tensor2"]
+def koszul(H, x, y) -> int:
+    """The sign of moving x past y: -1 when both are odd."""
+    return -1 if H.odd and H.degree(x) % 2 and H.degree(y) % 2 else 1
+
+
+ALGEBRAS = [HopfAlgebra(SYM, 2), HopfAlgebra(TENSOR, 2), HopfAlgebra(TENSOR, 2, odd=True)]
+IDS = ["sym2", "tensor2", "tensor2odd"]
 
 
 @pytest.fixture(params=ALGEBRAS, ids=IDS)
@@ -140,10 +145,18 @@ class TestExplicitCoproducts:
             ((0, 0), ()): 1,
         }
 
+    def test_odd_unshuffle_cancels(self):
+        H = HopfAlgebra(TENSOR, 2, odd=True)
+        assert cop(H, (0, 0)) == {((), (0, 0)): 1, ((0, 0), ()): 1}
+        assert cop(H, (0, 1))[((1,), (0,))] == -1
+
     def test_tensor_antipode_reverses_with_sign(self):
         H = HopfAlgebra(TENSOR, 3)
         assert H.antipode((0, 1, 2)) == (-1, (2, 1, 0))
         assert H.antipode((0, 1)) == (1, (1, 0))
+        odd = HopfAlgebra(TENSOR, 3, odd=True)
+        assert odd.antipode((0, 1, 2)) == (1, (2, 1, 0))
+        assert odd.antipode((0, 1)) == (-1, (1, 0))
 
 
 class TestAxioms:
@@ -166,7 +179,7 @@ class TestAxioms:
     def test_cocommutativity(self, H):
         for x in all_elements(H, 5):
             pairs = cop(H, x)
-            flipped = {(b, a): c for (a, b), c in pairs.items()}
+            flipped = {(b, a): c * koszul(H, a, b) for (a, b), c in pairs.items()}
             assert pairs == flipped
 
     def test_antipode_law(self, H):
@@ -188,7 +201,7 @@ class TestAxioms:
                 sx, ex = H.antipode(x)
                 sy, ey = H.antipode(y)
                 sxy, exy = H.antipode(H.product(x, y))
-                assert {exy: sxy} == {H.product(ey, ex): sy * sx}
+                assert {exy: sxy} == {H.product(ey, ex): sy * sx * koszul(H, x, y)}
 
     def test_coproduct_multiplicative(self, H):
         for x in all_elements(H, 3):
@@ -197,7 +210,8 @@ class TestAxioms:
                 rhs = {}
                 for (a, b), c in cop(H, x).items():
                     for (u, v), d in cop(H, y).items():
-                        add_into(rhs, (H.product(a, u), H.product(b, v)), c * d)
+                        sign = koszul(H, b, u)
+                        add_into(rhs, (H.product(a, u), H.product(b, v)), c * d * sign)
                 assert lhs == rhs
 
     def test_counit_multiplicative(self, H):

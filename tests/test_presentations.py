@@ -2,13 +2,12 @@ import hashlib
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
-from reference_ops import bar_rows, reversed_reading
+from reference_ops import bar_rows, reversed_reading, sign_block_rows, sign_fold
 from hopfquotients.combinatorics import cusp_dim, partitions_of
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -23,8 +22,35 @@ from hopfquotients.presentations import (
 )
 
 
-def spec(functor, rank, kind, m, parity="none", sign=False):
-    return FunctorSpec(functor, rank, HopfAlgebra(kind, m), parity, sign)
+def spec(functor, rank, kind, m, parity="none", odd=False):
+    return FunctorSpec(functor, rank, HopfAlgebra(kind, m, odd), parity)
+
+
+def weights(max_degree):
+    """Every partition of each degree d up to max_degree, padded to
+    max(d, 1) variables."""
+    for degree in range(max_degree + 1):
+        m = max(degree, 1)
+        for lam in partitions_of(degree, m):
+            yield tuple(lam) + (0,) * (m - len(lam))
+
+
+def assert_rows_match_up_to_signs(basis, rows, reference):
+    """rows, packed over basis, equal the reference rows (dicts over
+    basis tuples) in order, once column c is multiplied by
+    (-1)^inv(basis[c]) and each row by one sign: inv counts inversions
+    of the tuple's letters in reading order.  This is the change of
+    basis between the sign-isotypic part of the multilinear block and
+    the weight block over odd generators."""
+    def inversions(t):
+        letters = [x for word in t for x in word]
+        return sum(1 for i, x in enumerate(letters) for y in letters[:i] if y > x)
+
+    index = {t: i for i, t in enumerate(basis)}
+    assert len(rows) == len(reference)
+    for k, (row, ref) in enumerate(zip(rows, reference)):
+        ref = {index[t]: (-c if inversions(t) % 2 else c) for t, c in ref.items()}
+        assert row in (ref, {i: -c for i, c in ref.items()}), k
 
 
 class TestFunctorSpec:
@@ -206,7 +232,7 @@ class TestCaching:
 
     def test_sign_and_ordinary_blocks_are_cached_apart(self, tmp_path):
         ordinary = spec(OMEGA_FUNCTOR, 2, TENSOR, 4)
-        sign = replace(ordinary, sign=True)
+        sign = spec(OMEGA_FUNCTOR, 2, TENSOR, 4, odd=True)
         weight = (2, 1, 1, 0)
         tokens = [presentations._cache_token(kind, weight) for kind in (ordinary, sign)]
         assert tokens[0] != tokens[1]
@@ -227,11 +253,9 @@ class TestCaching:
         assert block_result(ordinary, weight, cache_dir=str(tmp_path)) == a
         assert block_result(sign, weight, cache_dir=str(tmp_path)) == b
 
-    def test_sign_blocks_need_the_tensor_algebra_and_room(self):
+    def test_sign_blocks_need_the_tensor_algebra(self):
         with pytest.raises(ValueError):
-            FunctorSpec(H_FUNCTOR, 2, HopfAlgebra(SYM, 3), sign=True)
-        with pytest.raises(ValueError):
-            relation_rows(spec(H_FUNCTOR, 2, TENSOR, 3, sign=True), (2, 2, 0))
+            HopfAlgebra(SYM, 3, odd=True)
 
     def test_memory_cache_hit(self):
         s = spec(H_FUNCTOR, 2, SYM, 2)
@@ -272,7 +296,9 @@ def row_order_digest(s, weight):
 class TestConjugationDefectRows:
     """relation_rows imposes the conjugation defect as the word (('ad',),)
     over the block basis; its rows are the (v, t)-indexed reference rows,
-    in the same order, for ordinary and sign blocks alike."""
+    in the same order.  Over odd generators they are the reference rows
+    of the multilinear block folded onto the sign block, up to the
+    signs of assert_rows_match_up_to_signs."""
 
     @pytest.mark.parametrize("sign", [False, True])
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -280,22 +306,34 @@ class TestConjugationDefectRows:
         # with no relations in the table, only the defect's rows remain
         monkeypatch.setattr(presentations, "RELATIONS",
                             {key: () for key in presentations.RELATIONS})
-        for degree in range(5):
-            m = max(degree, 1)
-            s = spec(H_FUNCTOR, rank, TENSOR, m, sign=sign)
-            for lam in partitions_of(degree, m):
-                weight = tuple(lam) + (0,) * (m - len(lam))
-                basis, rows = relation_rows(s, weight)
-                standardize, fold = (
-                    presentations._sign_fold(weight) if sign else (lambda t: t, lambda r: r)
-                )
+        for weight in weights(4):
+            s = spec(H_FUNCTOR, rank, TENSOR, len(weight), odd=sign)
+            basis, rows = relation_rows(s, weight)
+            if not sign:
                 index = {t: i for i, t in enumerate(basis)}
-                expected = []
-                for row in bar_rows(s.hopf, rank, weight, standardize):
-                    row = fold(row)
-                    if row:
-                        expected.append({index[t]: c for t, c in row.items()})
-                assert rows == expected, (rank, sign, weight)
+                expected = [{index[t]: c for t, c in row.items()}
+                            for row in bar_rows(s.hopf, rank, weight)]
+                assert rows == expected, (rank, weight)
+                continue
+            even = HopfAlgebra(TENSOR, len(weight))
+            standardize, fold = sign_fold(weight)
+            folded = [fold(row) for row in bar_rows(even, rank, weight, standardize)]
+            assert_rows_match_up_to_signs(basis, rows, [row for row in folded if row])
+
+
+class TestSignBlockRows:
+    """A weight block over odd generators is the sign block: its rows
+    are those of the multilinear block of the even algebra, folded with
+    the sign of the relabelling (reference_ops.sign_block_rows), in the
+    same order, up to a sign per column and per row."""
+
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    def test_rows_match_the_fold_in_order(self, functor):
+        for rank, max_degree in ((1, 5), (2, 5), (3, 4)):
+            for weight in weights(max_degree):
+                s = spec(functor, rank, TENSOR, len(weight), odd=True)
+                basis, rows = relation_rows(s, weight)
+                assert_rows_match_up_to_signs(basis, rows, sign_block_rows(s, weight))
 
 
 class TestRowGolden:

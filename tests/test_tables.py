@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +151,47 @@ class TestEngineVersion:
         assert len(v) == 12
         assert int(v, 16) >= 0
         assert engine_version() == v
+
+
+NEW_TENSOR_CELLS = Path(__file__).parent / "data" / "tensor-cells.json"
+
+
+class TestNewTensorCells:
+    """The tensor cells the published tables leave open, pinned as this
+    engine computed them (tests/data/tensor-cells.json)."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        # load_expected rejects an entry that lists anything but
+        # partitions of its degree
+        return load_expected(NEW_TENSOR_CELLS)
+
+    def test_the_eight_open_cells(self, cells, table):
+        keys = [(e["functor"], e["rank"], e["hopf"], e["degree"]) for e in cells["entries"]]
+        assert sorted(keys) == sorted(
+            (functor, rank, "tensor", degree)
+            for functor in ("H", "Omega")
+            for rank, degrees in ((2, (7, 8)), (3, (6, 7)))
+            for degree in degrees
+        )
+        packaged = {(e["functor"], e["rank"], e["hopf"], e["degree"]): e["value"]
+                    for e in table["entries"]}
+        assert all(packaged[key] == UNKNOWN for key in keys)
+
+    def test_one_row_multiplicity_is_the_sym_one(self, cells, table):
+        # a one-row piece (d) only sees one variable, where the tensor
+        # and symmetric algebras agree
+        sym = {(e["functor"], e["rank"], e["degree"]): e["value"]
+               for e in entries_in_scope(table, hopf="sym")}
+        for entry in cells["entries"]:
+            degree = entry["degree"]
+            sym_value = sym[(entry["functor"], entry["rank"], degree)]
+            assert sym_value != UNKNOWN
+            one_row = dict(decomposition_to_pairs(entry["value"])).get((degree,), 0)
+            assert one_row == dict(decomposition_to_pairs(sym_value)).get((degree,), 0), entry
+
+    def test_omega_rank3_degree6_recomputes(self, cells):
+        # its down-set is solved from sign blocks
+        report = verify_against(cells, functor="Omega", rank=3, max_degree=6)
+        assert report["checked"] == report["matches"] == 1
+        assert report["mismatches"] == [] and report["new"] == []

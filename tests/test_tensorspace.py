@@ -17,6 +17,7 @@ from hopfquotients.tensorspace import (
 
 SYM2 = HopfAlgebra(SYM, 2)
 TEN2 = HopfAlgebra(TENSOR, 2)
+TEN2_ODD = HopfAlgebra(TENSOR, 2, odd=True)
 TEN3 = HopfAlgebra(TENSOR, 3)
 SYM3 = HopfAlgebra(SYM, 3)
 
@@ -202,9 +203,19 @@ class TestOperatorIdentities:
     def test_braid_relation(self):
         word_a = (("swap", 0, 1), ("swap", 1, 2), ("swap", 0, 1))
         word_b = (("swap", 1, 2), ("swap", 0, 1), ("swap", 1, 2))
-        for H in (SYM2, TEN2):
+        for H in (SYM2, TEN2, TEN2_ODD):
             for t in tensor_basis(H, 3, (2, 1)):
                 assert apply_word(H, word_a, t) == apply_word(H, word_b, t)
+                # both exchange slots 0 and 2, with the same Koszul sign
+                assert apply_word(H, word_a, t) == apply_atom(H, ("swap", 0, 2), t)
+
+    def test_odd_swap_signs(self):
+        assert apply_atom(TEN2_ODD, ("swap", 0, 1), ((0,), (1,), ())) == {((1,), (0,), ()): -1}
+        # |a||b| = 3 plus (|a| + |b|) times the 2 letters between them
+        t = ((0,), (1, 1), (0, 1, 1))
+        assert apply_atom(TEN2_ODD, ("swap", 0, 2), t) == {((0, 1, 1), (1, 1), (0,)): -1}
+        t = ((0, 1), (1,), (0, 1))
+        assert apply_atom(TEN2_ODD, ("swap", 0, 2), t) == {t: 1}
 
     def test_twist_has_order_three(self):
         for H in (SYM2, TEN2):
@@ -318,6 +329,16 @@ class TestBarRows:
             ((0, 1), (1,)): 1,
             ((1, 0), (1,)): -1,
             ((1,), (0, 1)): 1,
+            ((1,), (1, 0)): -1,
+        }
+
+    def test_defect_over_odd_generators(self):
+        # v moves past r_0 = (1,), which is odd, before it reaches r_1,
+        # and r_i * v picks up the sign of moving v past r_i as well
+        assert apply_atom(TEN2_ODD, ("ad",), ((0, 1), (1,))) == {
+            ((0, 1), (1,)): 1,
+            ((1, 0), (1,)): 1,
+            ((1,), (0, 1)): -1,
             ((1,), (1, 0)): -1,
         }
 
