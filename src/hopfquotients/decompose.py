@@ -115,13 +115,13 @@ def _block_cols(block) -> int:
 
 def _quotient_dims(blocks, jobs, cache_dir) -> dict:
     """Quotient dimension of each (spec, weight) block.  Blocks missing
-    from the memory cache go to a process pool, largest first, when
-    there are two or more of them."""
+    from the memory cache go to a process pool, largest first and one
+    at a time, when there are two or more of them."""
     misses = [b for b in blocks if not in_memory(*b)]
     if jobs > 1 and len(misses) > 1:
         misses.sort(key=_block_cols, reverse=True)
         with multiprocessing.Pool(jobs) as pool:
-            computed = pool.map(_block_job, [(*b, cache_dir) for b in misses])
+            computed = pool.map(_block_job, [(*b, cache_dir) for b in misses], chunksize=1)
         # a worker's memory cache dies with it; keep its results here
         for block, result in zip(misses, computed):
             remember_block(*block, result)

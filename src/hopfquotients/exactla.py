@@ -5,10 +5,12 @@ engine's entry point: it normalizes the rows (content divided out,
 leading coefficient positive), drops repeats of a line before any
 elimination, and hands the rest to rank_sparse.  That is a
 fraction-free elimination in big integers: a pivot step replaces row_j
-by (p * row_j - v * row_i) / gcd, so no rationals ever appear.  Pivots
-are chosen Markowitz style, cheapest column first and shortest row
-within it, with deterministic tie breaks, so a given matrix always
-eliminates the same way.
+by (p * row_j - v * row_i), divided by its content, so no rationals
+ever appear and every row stays primitive.  Pivots are chosen
+Markowitz style, cheapest column first and shortest row within it,
+with deterministic tie breaks, so a given matrix always eliminates the
+same way; dividing a row by its content changes no entry's support, so
+it changes no pivot either.
 """
 
 from __future__ import annotations
@@ -16,23 +18,20 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-# strip common content from a row once coefficients pass this many bits
-_STRIP_BITS = 63
+
+def _primitive(row: dict) -> dict:
+    """A row with no zero entries, divided by its content ({} stays {})."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _normalize_row(row: dict) -> dict:
     """Drop zero entries, divide out the content, make the leading
     (lowest column) coefficient positive."""
-    items = [(c, v) for c, v in row.items() if v]
-    if not items:
-        return {}
-    g = 0
-    for _, v in items:
-        g = gcd(g, v)
-    lead = min(items)[1]
-    if lead < 0:
-        g = -g
-    return {c: v // g for c, v in items}
+    row = {c: v for c, v in row.items() if v}
+    if row and row[min(row)] < 0:
+        row = {c: -v for c, v in row.items()}
+    return _primitive(row)
 
 
 def rank_distinct(rows) -> int:
@@ -55,20 +54,10 @@ def rank_distinct(rows) -> int:
     return rank_sparse(distinct)
 
 
-def _maybe_strip(row: dict) -> dict:
-    if max(v.bit_length() for v in row.values()) <= _STRIP_BITS:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def rank_sparse(rows) -> int:
-    """Rank of the span of the given rows, fraction-free."""
-    live = [dict(r) for r in rows if r]
+    """Rank of the span of the given rows, fraction-free.  Rows hold no
+    zero entries; neither the list nor its rows are modified."""
+    live = [r for r in rows if r]
     cols: dict[int, set] = {}
     for i, row in enumerate(live):
         for c in row:
@@ -109,7 +98,7 @@ def rank_sparse(rows) -> int:
                 elif col in new:
                     del new[col]
             if new:
-                new = _maybe_strip(new)
+                new = _primitive(new)
             for col in jrow:
                 if col not in new:
                     grp = cols.get(col)

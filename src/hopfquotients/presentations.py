@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .exactla import rank_distinct
 from .hopf import SYM, HopfAlgebra
-from .tensorspace import apply_expr, block_index, tensor_basis
+from .tensorspace import apply_expr, basis_size, block_index, tensor_basis
 from .version import engine_version
 
 H_FUNCTOR = "H"
@@ -244,8 +244,8 @@ def _spec_record(spec: FunctorSpec) -> dict:
 
 def _read_record(path, spec: FunctorSpec, weight):
     """The result a disk-cache file holds for this block, or None when
-    the file is missing, unreadable, stale, malformed or about another
-    block."""
+    the file is missing, unreadable, stale, malformed, inconsistent or
+    about another block."""
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -253,15 +253,18 @@ def _read_record(path, spec: FunctorSpec, weight):
         return None
     if not isinstance(record, dict):
         return None
-    dims = [record.get(field) for field in ("ambient_dim", "rank", "quotient_dim")]
+    ambient, rank, quotient = (record.get(f) for f in ("ambient_dim", "rank", "quotient_dim"))
     if (
         record.get("engine_version_hash") != engine_version()
         or record.get("spec") != _spec_record(spec)
         or record.get("weight") != list(weight)
-        or any(type(value) is not int for value in dims)
+        or any(type(value) is not int for value in (ambient, rank, quotient))
+        # the three numbers must agree with each other and with the block
+        or not 0 <= rank <= ambient == basis_size(spec.hopf, spec.rank, weight)
+        or quotient != ambient - rank
     ):
         return None
-    return BlockResult(tuple(weight), dims[0], dims[1])
+    return BlockResult(tuple(weight), ambient, rank)
 
 
 def in_memory(spec: FunctorSpec, weight) -> bool:

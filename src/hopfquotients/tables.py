@@ -43,9 +43,10 @@ def load_expected(path=None) -> dict:
 
 
 def _is_list_of(items, **fields) -> bool:
-    """Whether items is a list of dicts whose fields have the given types."""
+    """Whether items is a list of dicts whose fields have exactly the given
+    types (so a bool is no int)."""
     return isinstance(items, list) and all(
-        isinstance(item, dict) and all(isinstance(item.get(k), t) for k, t in fields.items())
+        isinstance(item, dict) and all(type(item.get(k)) is t for k, t in fields.items())
         for item in items
     )
 

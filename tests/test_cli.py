@@ -137,9 +137,14 @@ class TestVerify:
                           "value": {"decomposition": [{"partition": [[4]], "mult": 1}]}}]},
             {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
                           "value": "zero", "flags": [{"partition": [2, 1]}]}]},
+            {"entries": [{"functor": "H", "rank": True, "hopf": "sym", "degree": 1,
+                          "value": {"decomposition": [{"partition": [1], "mult": True}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 2,
+                          "value": {"decomposition": [{"partition": [2], "mult": True}]}}]},
         ],
         ids=["no-value", "no-decomposition", "entries-int", "degree-str", "flags-int",
-             "partition-str", "partition-nested", "flag-other-degree"],
+             "partition-str", "partition-nested", "flag-other-degree", "rank-bool",
+             "mult-bool"],
     )
     def test_malformed_table_entries(self, tmp_path, table):
         path = tmp_path / "malformed.json"

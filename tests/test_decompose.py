@@ -165,6 +165,7 @@ class TestDecompositionShape:
 
     def test_pool_gets_the_largest_blocks_first(self, monkeypatch, clean_cache):
         handed = []
+        chunksizes = []
 
         class SerialPool:
             def __init__(self, processes):
@@ -176,8 +177,9 @@ class TestDecompositionShape:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=None):
                 handed.extend(jobs)
+                chunksizes.append(chunksize)
                 return [fn(job) for job in jobs]
 
         s = spec(OMEGA_FUNCTOR, 2, TENSOR)
@@ -187,6 +189,8 @@ class TestDecompositionShape:
         pooled = decompose(s, 5, jobs=2)
         sizes = [basis_size(bspec.hopf, bspec.rank, weight) for bspec, weight, _ in handed]
         assert len(sizes) > 2 and sizes == sorted(sizes, reverse=True)
+        # one block at a time, so no worker takes a run of the largest
+        assert chunksizes and set(chunksizes) == {1}
         assert any(bspec.hopf.odd for bspec, _, _ in handed)
         assert pooled.entries == serial.entries
         assert pooled.weight_dims == serial.weight_dims

@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
@@ -90,10 +91,34 @@ class TestSparseAgainstDense:
             assert rank_sparse(rows) == rank_dense(rows, ncols), rows
 
     def test_big_coefficients_trigger_strip(self):
-        # entries far above the gcd-strip threshold
+        # entries far beyond a machine word, before elimination grows them
         rng = random.Random(7)
         rows = random_rows(rng, 6, 6, density=0.8, lo=-(10**25), hi=10**25)
         assert rank_sparse(rows) == rank_dense(rows, 6)
+
+    def test_shared_factors_are_divided_out(self, monkeypatch):
+        # each row is a small row times a product of large primes, so
+        # the rows elimination produces have content above 1
+        primes = (2**61 - 1, 2**31 - 1, 10**9 + 7)
+        contents = []
+
+        def primitive(row):
+            contents.append(gcd(*row.values()))
+            out = real(row)
+            assert gcd(*out.values()) == 1
+            return out
+
+        real = exactla._primitive
+        monkeypatch.setattr(exactla, "_primitive", primitive)
+        rng = random.Random(314)
+        for _ in range(40):
+            ncols = rng.randint(2, 8)
+            rows = [
+                {c: v * prod(rng.sample(primes, rng.randint(1, 3))) for c, v in row.items()}
+                for row in random_rows(rng, rng.randint(2, 8), ncols, density=0.6)
+            ]
+            assert rank_sparse(rows) == rank_dense(rows, ncols), rows
+        assert sum(g > 1 for g in contents) > len(contents) // 2
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

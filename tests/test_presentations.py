@@ -218,9 +218,16 @@ class TestCaching:
             # a wrong rank too, so that accepting the record would show
             lambda record: {**record, "spec": {**record["spec"], "functor": "Omega"}, "rank": 0},
             lambda record: {**record, "spec": None, "rank": 0},
+            # well typed, but the numbers disagree with each other or the block
+            lambda record: {**record, "rank": record["ambient_dim"] + 3, "quotient_dim": -3},
+            lambda record: {**record, "rank": -1, "quotient_dim": record["ambient_dim"] + 1},
+            lambda record: {**record, "ambient_dim": record["ambient_dim"] + 1,
+                            "rank": record["rank"] + 1},
+            lambda record: {**record, "rank": record["rank"] - 1},
         ],
         ids=["list", "weight-int", "other-weight", "rank-str", "rank-null", "dim-float",
-             "other-spec", "spec-null"],
+             "other-spec", "spec-null", "rank-above-dim", "rank-negative", "other-dim",
+             "other-quotient"],
     )
     def test_malformed_record_is_a_miss(self, tmp_path, mangle):
         s = spec(H_FUNCTOR, 2, SYM, 2)
