@@ -32,8 +32,7 @@ def _emit(payload) -> None:
 
 
 def cmd_compute(args) -> int:
-    spec = FunctorSpec(args.functor, args.rank, HopfAlgebra(args.hopf, 1),
-                       parity=args.parity or "none")
+    spec = FunctorSpec(args.functor, args.rank, HopfAlgebra(args.hopf, 1))
     dec = decompose(spec, args.degree, jobs=args.jobs, cache_dir=args.cache_dir)
     m = dec.num_vars
     payload = {
@@ -117,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--rank", required=True, type=int, choices=[1, 2, 3])
     compute.add_argument("--hopf", required=True, choices=["sym", "tensor"])
     compute.add_argument("--degree", required=True, type=int)
-    compute.add_argument("--parity", choices=["even", "odd"], default=None,
-                         help="use the parity-specialized rank-3 sym presentation")
     _add_common(compute)
     compute.set_defaults(fn=cmd_compute)
 

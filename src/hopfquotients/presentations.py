@@ -8,11 +8,12 @@ corresponding block of H^(x)rank and reports the quotient dimension.
 Every presentation, ranks 1 to 3, is one entry of RELATIONS: a tuple
 of relations, each a formal sum of words in the slot operators of
 tensorspace, applied on the right (left to right) to each basis tuple
-of the block.  Every block first imposes the conjugation defect, the
-one-word relation (('ad',),), so every quotient is really a quotient of
-the reduced tensor power; for the tensor algebra it also carries the
-commutators of rank 1.  So every row is the image of one relation on
-one basis tuple.
+of the block.  Over Sym the block's degree picks the finer rank-3
+quotient's entry for even or for odd degree.  Every block first imposes
+the conjugation defect, the one-word relation (('ad',),), so every
+quotient is really a quotient of the reduced tensor power; for the
+tensor algebra it also carries the commutators of rank 1.  So every row
+is the image of one relation on one basis tuple.
 
 Over the tensor algebra with odd generators, HopfAlgebra(TENSOR, m,
 odd=True), the slot operators carry Koszul signs (see hopf and
@@ -89,8 +90,8 @@ RANK3_H_EXPRS = (
 # elementwise relation families (see RELATIONS).
 RANK3_OMEGA_EXPRS = (RANK3_H_EXPRS[0], RANK3_H_EXPRS[1], RANK3_H_EXPRS[5])
 
-# Specializations for the finer rank-3 quotient of Sym, split by the
-# parity of the total degree.
+# The finer rank-3 quotient of Sym at even and at odd total degree: the
+# quotient RANK3_H_EXPRS gives there, from fewer rows.
 SYM_EVEN_EXPRS = (
     ((1, ()), (1, (_SW01,))),
     ((1, ()), (1, (_SW12,))),
@@ -123,7 +124,8 @@ _UNIT_SLOT_SYMMETRY = ((1, (_U0,)), (1, (_U0, _SW12)))
 _COPRODUCT_IMAGE = ((1, (_U1, _SW02, _E, _SW02)),)
 
 # (functor, rank, parity) -> relations, in the order their rows are
-# generated for each basis tuple.  Both functors coincide in rank 1.
+# generated for each basis tuple; both functors coincide in rank 1.  A
+# Sym block takes its degree's parity entry where there is one, others "none".
 RELATIONS = {
     (H_FUNCTOR, 1, "none"): (_ANTIPODE,),
     (OMEGA_FUNCTOR, 1, "none"): (_ANTIPODE,),
@@ -152,24 +154,18 @@ class FunctorSpec:
     functor: str
     rank: int
     hopf: HopfAlgebra
-    parity: str = "none"
 
     def __post_init__(self):
         if self.functor not in (H_FUNCTOR, OMEGA_FUNCTOR):
             raise ValueError(f"functor must be H or Omega, got {self.functor!r}")
         if self.rank not in (1, 2, 3):
             raise ValueError("rank must be 1, 2 or 3")
-        if self.parity not in ("none", "even", "odd"):
-            raise ValueError(f"bad parity {self.parity!r}")
-        if self.parity != "none":
-            if self.rank != 3 or self.functor != H_FUNCTOR or self.hopf.kind != SYM:
-                raise ValueError("parity specialization only exists for rank-3 H over sym")
 
     def with_num_vars(self, m: int) -> "FunctorSpec":
         return replace(self, hopf=replace(self.hopf, num_vars=m))
 
     def key(self) -> str:
-        key = f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}|{self.parity}"
+        key = f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}"
         return key + "|odd" if self.hopf.odd else key
 
 
@@ -179,13 +175,13 @@ def relation_rows(spec: FunctorSpec, weight):
     Returns (basis, rows) where rows are integer dict-vectors over
     column indices into basis, each packed as soon as it is generated:
     the nonzero images of the conjugation defect on every basis tuple,
-    then, basis tuple by basis tuple, those of the spec's relations.
+    then, basis tuple by basis tuple, those of the block's relations.
     """
     H = spec.hopf
     weight = tuple(weight)
-    if spec.parity != "none" and sum(weight) % 2 != (spec.parity == "odd"):
-        raise ValueError(f"weight {weight} has the wrong parity for {spec.parity!r}")
-    exprs = RELATIONS[(spec.functor, spec.rank, spec.parity)]
+    key = (spec.functor, spec.rank)
+    parity = ("odd" if sum(weight) % 2 else "even") if H.kind == SYM else "none"
+    exprs = RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
     # odd generators have the same basis: share the even block's cache entry
     basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
     index = block_index(basis)
@@ -237,7 +233,6 @@ def _spec_record(spec: FunctorSpec) -> dict:
         "rank": spec.rank,
         "hopf": spec.hopf.kind,
         "num_vars": spec.hopf.num_vars,
-        "parity": spec.parity,
         "odd": spec.hopf.odd,
     }
 

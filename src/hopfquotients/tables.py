@@ -39,6 +39,9 @@ def load_expected(path=None) -> dict:
         raise ValueError("expected-table file has no list of entries")
     for entry in table["entries"]:
         _check_entry(entry)
+    cells = [tuple(entry[field] for field in _CELL_FIELDS) for entry in table["entries"]]
+    if len(set(cells)) < len(cells):
+        raise ValueError("expected table lists a cell twice")
     return table
 
 
@@ -61,18 +64,22 @@ def _check_entry(entry) -> None:
     if value not in (ZERO, UNKNOWN) and not (
         isinstance(value, dict)
         and _is_list_of(value.get("decomposition"), partition=list, mult=int)
+        and all(item["mult"] >= 1 for item in value["decomposition"])
     ):
         raise ValueError(f"table entry {cell} has a malformed value: {value!r}")
     flags = entry.get("flags", [])
     if not _is_list_of(flags, partition=list):
         raise ValueError(f"table entry {cell} has malformed flags")
-    listed = flags + (value["decomposition"] if isinstance(value, dict) else [])
-    for item in listed:
-        lam = item["partition"]
-        if not (all(type(p) is int for p in lam) and is_partition(lam)
-                and sum(lam) == entry["degree"]):
-            raise ValueError(f"table entry {cell} lists {lam!r}, which is not a "
-                             f"partition of {entry['degree']}")
+    # a flagged partition may be in the decomposition, but in neither twice
+    for listed in (flags, value["decomposition"] if isinstance(value, dict) else []):
+        for item in listed:
+            lam = item["partition"]
+            if not (all(type(p) is int for p in lam) and is_partition(lam)
+                    and sum(lam) == entry["degree"]):
+                raise ValueError(f"table entry {cell} lists {lam!r}, which is not a "
+                                 f"partition of {entry['degree']}")
+        if len({tuple(item["partition"]) for item in listed}) < len(listed):
+            raise ValueError(f"table entry {cell} lists a partition twice")
 
 
 def decomposition_to_pairs(value) -> list:

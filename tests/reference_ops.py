@@ -15,6 +15,11 @@ rows of the multilinear block of the even algebra, folded onto orbits
 of the Young subgroup with the sign of the relabelling.  The engine
 builds the same block as a weight block over odd generators.
 
+general_reading() makes Sym blocks of the finer rank-3 quotient use
+the general presentation RANK3_H_EXPRS, which the engine uses only over
+the tensor algebra, so a test can compare it with the even and odd
+presentations the engine uses over Sym.
+
 reversed_reading() swaps in the other composition order of the rank-3
 operator words, so a test can show that it is not the one matching the
 published tables.
@@ -196,7 +201,7 @@ def sign_block_rows(spec, weight):
     standardize, fold = sign_fold(weight)
     basis = tensorspace.tensor_basis(H, spec.rank, tuple(weight))
     rows = []
-    exprs = presentations.RELATIONS[(spec.functor, spec.rank, spec.parity)]
+    exprs = presentations.RELATIONS[(spec.functor, spec.rank, "none")]
     for group in ((_CONJUGATION_DEFECT,), exprs):
         for t in basis:
             seed = standardize(t)
@@ -207,10 +212,30 @@ def sign_block_rows(spec, weight):
     return rows
 
 
+@contextmanager
+def _reading(relations):
+    """Within the block, presentations use relations in place of
+    presentations.RELATIONS.  The memory cache is swapped for an empty
+    one, so results of another reading never reach the shared cache;
+    pass no cache_dir inside the block, as disk records do not record
+    the reading."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentations, "RELATIONS", relations)
+        mp.setattr(presentations, "_MEM_CACHE", {})
+        yield
+
+
+def general_reading():
+    """Within the block, presentations.RELATIONS keeps only its "none"
+    entries, so every block takes the general presentation."""
+    return _reading({key: exprs for key, exprs in presentations.RELATIONS.items()
+                     if key[2] == "none"})
+
+
 def reversed_relations():
     """presentations.RELATIONS with every word of the rank-3 operators
-    (RANK3_H_EXPRS and the parity specializations) read right to left;
-    the elementwise families are left as they are."""
+    (RANK3_H_EXPRS and the even and odd Sym presentations) read right to
+    left; the elementwise families are left as they are."""
     convention = set(RANK3_H_EXPRS + SYM_EVEN_EXPRS + SYM_ODD_EXPRS)
 
     def flip(expr):
@@ -219,13 +244,6 @@ def reversed_relations():
     return {key: tuple(map(flip, exprs)) for key, exprs in presentations.RELATIONS.items()}
 
 
-@contextmanager
 def reversed_reading():
-    """Within the block, presentations use reversed_relations().  The
-    memory cache is swapped for an empty one, so reversed results never
-    reach the shared cache; pass no cache_dir inside the block, as disk
-    records do not record the reading."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(presentations, "RELATIONS", reversed_relations())
-        mp.setattr(presentations, "_MEM_CACHE", {})
-        yield
+    """Within the block, presentations use reversed_relations()."""
+    return _reading(reversed_relations())

@@ -44,19 +44,6 @@ class TestCompute:
         assert ": " not in first.stdout
         assert first.stdout.index('"decomposition"') < first.stdout.index('"degree"')
 
-    def test_parity_flag(self):
-        res = run("compute", "--functor", "H", "--rank", "3", "--hopf", "sym",
-                  "--degree", "4", "--parity", "even")
-        assert res.returncode == 0, res.stderr
-        payload = json.loads(res.stdout)
-        assert payload["decomposition"] == []
-
-    def test_parity_rejected_for_wrong_spec(self):
-        res = run("compute", "--functor", "Omega", "--rank", "3", "--hopf", "sym",
-                  "--degree", "4", "--parity", "even")
-        assert res.returncode == 2
-        assert "parity" in res.stderr
-
     def test_negative_degree(self):
         res = run("compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
                   "--degree", "-3")
@@ -141,10 +128,22 @@ class TestVerify:
                           "value": {"decomposition": [{"partition": [1], "mult": True}]}}]},
             {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 2,
                           "value": {"decomposition": [{"partition": [2], "mult": True}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 4,
+                          "value": {"decomposition": [{"partition": [3, 1], "mult": 0}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 2,
+                          "value": {"decomposition": [{"partition": [2], "mult": -1}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 2,
+                          "value": "zero"}] * 2},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 6,
+                          "value": {"decomposition": [{"partition": [5, 1], "mult": 7},
+                                                      {"partition": [5, 1], "mult": 1}]}}]},
+            {"entries": [{"functor": "H", "rank": 2, "hopf": "sym", "degree": 2,
+                          "value": "zero", "flags": [{"partition": [2]}] * 2}]},
         ],
         ids=["no-value", "no-decomposition", "entries-int", "degree-str", "flags-int",
              "partition-str", "partition-nested", "flag-other-degree", "rank-bool",
-             "mult-bool"],
+             "mult-bool", "mult-zero", "mult-negative", "cell-twice", "partition-twice",
+             "flag-twice"],
     )
     def test_malformed_table_entries(self, tmp_path, table):
         path = tmp_path / "malformed.json"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
-from reference_ops import bar_rows, reversed_reading, sign_block_rows, sign_fold
+from reference_ops import bar_rows, general_reading, reversed_reading, sign_block_rows, sign_fold
 from hopfquotients.combinatorics import cusp_dim, partitions_of
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -22,8 +22,8 @@ from hopfquotients.presentations import (
 )
 
 
-def spec(functor, rank, kind, m, parity="none", odd=False):
-    return FunctorSpec(functor, rank, HopfAlgebra(kind, m, odd), parity)
+def spec(functor, rank, kind, m, odd=False):
+    return FunctorSpec(functor, rank, HopfAlgebra(kind, m, odd))
 
 
 def weights(max_degree):
@@ -59,18 +59,6 @@ class TestFunctorSpec:
             spec("K", 2, SYM, 2)
         with pytest.raises(ValueError):
             spec(H_FUNCTOR, 4, SYM, 2)
-        with pytest.raises(ValueError):
-            spec(H_FUNCTOR, 3, SYM, 2, parity="sideways")
-
-    def test_parity_restricted(self):
-        spec(H_FUNCTOR, 3, SYM, 2, parity="even")  # fine
-        for bad in (
-            lambda: spec(OMEGA_FUNCTOR, 3, SYM, 2, parity="even"),
-            lambda: spec(H_FUNCTOR, 2, SYM, 2, parity="even"),
-            lambda: spec(H_FUNCTOR, 3, TENSOR, 2, parity="odd"),
-        ):
-            with pytest.raises(ValueError):
-                bad()
 
     def test_with_num_vars(self):
         s = spec(H_FUNCTOR, 2, SYM, 2)
@@ -86,14 +74,6 @@ class TestFunctorSpec:
             for m in (1, 2)
         }
         assert len(keys) == 24
-
-    def test_parity_wrong_weight_raises(self):
-        s = spec(H_FUNCTOR, 3, SYM, 2, parity="even")
-        with pytest.raises(ValueError):
-            relation_rows(s, (2, 1))
-        s = spec(H_FUNCTOR, 3, SYM, 2, parity="odd")
-        with pytest.raises(ValueError):
-            relation_rows(s, (2, 2))
 
 
 class TestRankOne:
@@ -344,14 +324,17 @@ class TestSignBlockRows:
 
 
 class TestRowGolden:
-    """One mid-size block per (functor, rank, hopf) and per parity
-    specialization, at rank 3 also under the reversed reading of the
-    operator words: the digests pin every presentation's row set, so a
-    changed relation shows here.  The order digests also pin the order
-    of the rows, which sets the elimination's pivot path and cost."""
+    """One mid-size block per entry of RELATIONS and per hopf, at rank 3
+    also under the reversed reading of the operator words: the digests
+    pin every presentation's row set, so a changed relation shows here.
+    The "none" entries run under general_reading(), so over Sym the H
+    rank-3 ones pin the general presentation; the "even" and "odd" ones
+    pin the rows the engine builds.  The order digests also pin the
+    order of the rows, which sets the elimination's pivot path and
+    cost."""
 
     @pytest.mark.parametrize(
-        "functor, rank, kind, m, parity, weight, reverse, digest",
+        "functor, rank, kind, m, entry, weight, reverse, digest",
         [
             (H_FUNCTOR, 1, SYM, 2, "none", (4, 2), False,
              "f5e5441ac66855177e23ba6802804d05ca4f3a9487456a8a77d2f1369f176ae5"),
@@ -395,9 +378,10 @@ class TestRowGolden:
              "d942458d790d100c14de006118d1755dd418c6583a183164a9ee06dc03b374ee"),
         ],
     )
-    def test_row_set_digest(self, functor, rank, kind, m, parity, weight, reverse, digest):
-        with reversed_reading() if reverse else nullcontext():
-            assert row_set_digest(spec(functor, rank, kind, m, parity), weight) == digest
+    def test_row_set_digest(self, functor, rank, kind, m, entry, weight, reverse, digest):
+        with general_reading() if entry == "none" else nullcontext():
+            with reversed_reading() if reverse else nullcontext():
+                assert row_set_digest(spec(functor, rank, kind, m), weight) == digest
 
     @pytest.mark.parametrize(
         "functor, rank, digest",
