@@ -241,29 +241,28 @@ class BoundReport:
         return all(row.relation != VIOLATION for row in self.rows)
 
 
-def _bound_fn(spec: FunctorSpec):
-    if spec.hopf.kind != SYM:
-        raise ValueError("multiplicity formulas only cover sym")
-    table = {
-        ("H", 2): lambda a, b=0: rank2_multiplicity(a, b),
-        ("Omega", 2): lambda a, b=0: omega2_sym_multiplicity(a, b),
-        ("H", 3): lambda a, b=0, c=0: rank3_h_bound(a, b, c),
-        ("Omega", 3): lambda a, b=0, c=0: rank3_omega_bound(a, b, c),
-    }
-    try:
-        return table[(spec.functor, spec.rank)]
-    except KeyError:
-        raise ValueError(f"no multiplicity formula for {spec.functor} rank {spec.rank}")
+# (functor, rank) -> the closed formula, on a partition padded to rank parts
+_BOUNDS = {
+    ("H", 2): rank2_multiplicity,
+    ("Omega", 2): omega2_sym_multiplicity,
+    ("H", 3): rank3_h_bound,
+    ("Omega", 3): rank3_omega_bound,
+}
 
 
 def verify_bounds(dec: Decomposition) -> BoundReport:
     """Compare computed multiplicities with the predicted ones, for
     every partition of the degree with at most `rank` rows."""
-    fn = _bound_fn(dec.spec)
+    spec = dec.spec
+    if spec.hopf.kind != SYM:
+        raise ValueError("multiplicity formulas only cover sym")
+    fn = _BOUNDS.get((spec.functor, spec.rank))
+    if fn is None:
+        raise ValueError(f"no multiplicity formula for {spec.functor} rank {spec.rank}")
     rows = []
-    for lam in partitions_of(dec.degree, dec.spec.rank):
+    for lam in partitions_of(dec.degree, spec.rank):
         computed = dec.multiplicity(lam)
-        bound = fn(*lam)
+        bound = fn(*pad_weight(lam, spec.rank))
         if computed == bound:
             relation = "="
         elif computed > bound:

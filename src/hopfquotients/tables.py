@@ -15,8 +15,8 @@ from importlib.resources import files
 
 from .combinatorics import is_partition
 from .decompose import decompose
-from .hopf import HopfAlgebra
-from .presentations import FunctorSpec
+from .hopf import SYM, TENSOR, HopfAlgebra
+from .presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec
 from .version import engine_version
 
 ZERO = "zero"
@@ -60,6 +60,10 @@ def _check_entry(entry) -> None:
         raise ValueError("table entry needs a str functor and hopf and an int rank and "
                          f"degree: {entry!r}")
     cell = {field: entry[field] for field in _CELL_FIELDS}
+    # checked at load, so a bad cell fails before any other is computed
+    if (cell["functor"] not in (H_FUNCTOR, OMEGA_FUNCTOR) or cell["hopf"] not in (SYM, TENSOR)
+            or cell["rank"] not in (1, 2, 3) or cell["degree"] < 0):
+        raise ValueError(f"table entry {cell} is no cell the engine computes")
     value = entry.get("value")
     if value not in (ZERO, UNKNOWN) and not (
         isinstance(value, dict)

@@ -16,8 +16,8 @@ combinations of composable atoms:
 E and F act on slots 0 and 1 of a tuple of any length; later slots
 pass through unchanged.  ad is the conjugation defect: each block
 tuple whose slot 0 is not the unit is v glued onto one r, so its
-images span the defect inside the block.  It is zero on a unit slot 0
-and over sym, which is commutative.
+images span the defect inside the block.  It is zero on a unit slot 0,
+and over sym, whose product commutes, v * r_i and r_i * v cancel.
 
 Over odd generators (HopfAlgebra.odd) a word of length k has parity
 k, and an atom that moves odd words past each other carries the Koszul
@@ -47,8 +47,9 @@ from .hopf import SYM, HopfAlgebra, add_into
 
 @lru_cache(maxsize=None)
 def tensor_basis(H: HopfAlgebra, n: int, weight: tuple) -> tuple:
-    """All n-tuples of basis elements with total weight `weight`,
-    sorted lexicographically."""
+    """All n-tuples of basis elements with total weight `weight`, sorted
+    lexicographically; for sym, by their slots' weight vectors, the order
+    in which the loop over head weights emits them."""
     weight = tuple(weight)
     if len(weight) != H.num_vars:
         raise ValueError("weight length must match num_vars")
@@ -61,7 +62,7 @@ def tensor_basis(H: HopfAlgebra, n: int, weight: tuple) -> tuple:
         for e in H.elements_of_weight(head_weight):
             for tail in tails:
                 out.append((e,) + tail)
-    return tuple(sorted(out))
+    return tuple(out) if H.kind == SYM else tuple(sorted(out))
 
 
 def basis_size(H: HopfAlgebra, n: int, weight) -> int:
@@ -105,7 +106,7 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         a, b, rest = t[0], t[1], t[2:]
         return {(H.product(a, b1), b2) + rest: coeff for b1, b2, coeff in H.coproduct(b)}
     if kind == "ad":
-        if H.kind == SYM or H.degree(t[0]) == 0:
+        if H.degree(t[0]) == 0:
             return {}
         gen, r = t[0][:1], (t[0][1:],) + t[1:]
         out: dict = {}

@@ -231,7 +231,7 @@ def test_criterion_10_property_suite(capsys):
                     for u, v, d in H.coproduct(b):
                         add_into(right, (a, u, v), c * d)
                 assert left == right
-                assert conv == ({H.one: 1} if H.degree(x) == 0 else {})
+                assert conv == ({(): 1} if H.degree(x) == 0 else {})
                 sign, sx = H.antipode(x)
                 sign2, sxx = H.antipode(sx)
                 assert (sign * sign2, sxx) == (1, x)
@@ -292,15 +292,14 @@ def test_criterion_10_property_suite(capsys):
 
 
 def _elements(H, max_deg):
-    from itertools import product as iproduct
+    """Every basis word of length at most max_deg: the nondecreasing
+    ones for sym, all of them for tensor."""
+    from itertools import combinations_with_replacement, product as iproduct
 
-    if H.kind == SYM:
-        return [
-            e
-            for e in iproduct(range(max_deg + 1), repeat=H.num_vars)
-            if sum(e) <= max_deg
-        ]
     out = []
     for k in range(max_deg + 1):
-        out.extend(iproduct(range(H.num_vars), repeat=k))
+        if H.kind == SYM:
+            out.extend(combinations_with_replacement(range(H.num_vars), k))
+        else:
+            out.extend(iproduct(range(H.num_vars), repeat=k))
     return out

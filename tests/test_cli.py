@@ -154,6 +154,27 @@ class TestVerify:
         assert res.stdout == ""
 
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"functor": "K", "rank": 2, "hopf": "sym", "degree": 4},
+            {"functor": "H", "rank": 2, "hopf": "group", "degree": 4},
+            {"functor": "H", "rank": 4, "hopf": "sym", "degree": 4},
+            {"functor": "H", "rank": 2, "hopf": "sym", "degree": -1},
+        ],
+        ids=["functor", "hopf", "rank", "degree"],
+    )
+    def test_uncomputable_cell_rejected_at_load(self, tmp_path, cell):
+        # the cell is outside the --functor scope, so only a check at
+        # load time can reject it
+        path = tmp_path / "uncomputable.json"
+        path.write_text(json.dumps({"entries": [{**cell, "value": "zero"}]}))
+        res = run("verify", "--against", str(path), "--functor", "Omega")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
 class TestBounds:
     def test_equalities_exit_zero(self):
         res = run("bounds", "--functor", "Omega", "--rank", "2", "--degree", "6")
@@ -169,6 +190,14 @@ class TestBounds:
         relations = {row["relation"] for row in report["rows"]}
         assert ">" in relations
         assert "VIOLATION" not in relations
+
+    @pytest.mark.parametrize("functor, rank", [("H", 2), ("H", 3), ("Omega", 2), ("Omega", 3)])
+    def test_degree_zero(self, functor, rank):
+        res = run("bounds", "--functor", functor, "--rank", str(rank), "--degree", "0")
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["ok"] is True
+        assert report["rows"] == [{"partition": [], "computed": 0, "bound": 0, "relation": "="}]
 
     def test_rank_one_rejected_by_parser(self):
         res = run("bounds", "--functor", "H", "--rank", "1", "--degree", "3")

@@ -39,7 +39,7 @@ def pair_blocks(H, total):
 def total_weight(H, t):
     w = [0] * H.num_vars
     for e in t:
-        for i, v in enumerate(H.weight(e)):
+        for i, v in enumerate(ref.weight(H, e)):
             w[i] += v
     return tuple(w)
 
@@ -78,9 +78,11 @@ class TestTensorBasis:
                     assert basis_size(H, n, weight) == len(tensor_basis(H, n, weight))
 
     def test_sorted_and_distinct(self):
-        for H in (SYM2, TEN2):
-            basis = tensor_basis(H, 3, (2, 1))
-            assert list(basis) == sorted(set(basis))
+        basis = tensor_basis(TEN2, 3, (2, 1))
+        assert list(basis) == sorted(set(basis))
+        # sym tuples are ordered by their slots' weight vectors
+        keys = [tuple(ref.weight(SYM2, e) for e in t) for t in tensor_basis(SYM2, 3, (2, 1))]
+        assert keys == sorted(set(keys))
 
     def test_weight_length_check(self):
         with pytest.raises(ValueError):
@@ -94,12 +96,12 @@ class TestTensorBasis:
 
 class TestExplicitActions:
     def test_split_left_on_square_monomial(self):
-        t = ((2, 0), (0, 1), (0, 0))
+        t = ((0, 0), (1,), ())
         got = apply_atom(SYM2, ("E",), t)
         assert got == {
-            ((0, 0), (2, 1), (0, 0)): 1,
-            ((1, 0), (1, 1), (0, 0)): 2,
-            ((2, 0), (0, 1), (0, 0)): 1,
+            ((), (0, 0, 1), ()): 1,
+            ((0,), (0, 1), ()): 2,
+            ((0, 0), (1,), ()): 1,
         }
 
     def test_split_right_on_word(self):
@@ -122,7 +124,7 @@ class TestExplicitActions:
                     assert apply_atom(H, atom, (a, b, c, c)) == {k + (c, c): v for k, v in pair.items()}
 
     def test_unit_slot_filter(self):
-        t = ((0, 0), (1, 0), (0, 0))
+        t = ((), (0,), ())
         assert apply_atom(SYM2, ("U", 0), t) == {t: 1}
         assert apply_atom(SYM2, ("U", 1), t) == {}
         assert apply_atom(SYM2, ("U", 2), t) == {t: 1}
@@ -131,17 +133,17 @@ class TestExplicitActions:
 
     def test_twist_on_generators(self):
         # gamma(x (x) y) = -1 (x) xy - y (x) x
-        got = ref.apply_atom(SYM2, ("gamma",), ((1, 0), (0, 1)))
-        assert got == {((0, 0), (1, 1)): -1, ((0, 1), (1, 0)): -1}
+        got = ref.apply_atom(SYM2, ("gamma",), ((0,), (1,)))
+        assert got == {((), (0, 1)): -1, ((1,), (0,)): -1}
 
     def test_signed_swap_on_generators(self):
-        got = ref.apply_atom(SYM2, ("s",), ((1, 0), (0, 1)))
-        assert got == {((0, 1), (1, 0)): -1}
+        got = ref.apply_atom(SYM2, ("s",), ((0,), (1,)))
+        assert got == {((1,), (0,)): -1}
 
     def test_unknown_atom(self):
         for atom in (("frobenius",), ("gamma",)):
             with pytest.raises(ValueError):
-                apply_atom(SYM2, atom, ((0, 0), (0, 0)))
+                apply_atom(SYM2, atom, ((), ()))
 
 
 class TestOperatorIdentities:
@@ -225,7 +227,7 @@ class TestOperatorIdentities:
                         assert ref.apply_word(H, (("gamma",),) * 3, t) == {t: 1}
 
     def test_twist_differs_from_identity(self):
-        t = ((1, 0), (0, 1))
+        t = ((0,), (1,))
         assert ref.apply_word(SYM2, (("gamma",),), t) != {t: 1}
 
     def test_relation_words_match_term_by_term_reading(self):
@@ -270,7 +272,7 @@ class TestSlotOperations:
                     assert ref.counit_slot(H, spread, slot + 1) == {t: 1}
 
     def test_expr_linearity(self):
-        t = ((1, 0), (1, 1))
+        t = ((0,), (0, 1))
         w1 = (("F",),)
         w2 = (("S", 1), ("swap", 0, 1))
         expr = [(2, w1), (-1, w2)]
@@ -287,15 +289,15 @@ class TestSlotOperations:
 
     def test_word_reversal_changes_result(self):
         word = (("S", 0), ("swap", 0, 1))
-        t = ((2, 0), (0, 1))
+        t = ((0, 0), (1,))
         forward = apply_word(SYM2, word, t)
         backward = apply_word(SYM2, word[::-1], t)
-        assert forward == {((0, 1), (2, 0)): 1}
-        assert backward == {((0, 1), (2, 0)): -1}
+        assert forward == {((1,), (0, 0)): 1}
+        assert backward == {((1,), (0, 0)): -1}
         assert forward != backward
 
     def test_empty_word_is_identity(self):
-        t = ((1, 1), (0, 0))
+        t = ((0, 1), ())
         assert apply_word(SYM2, (), t) == {t: 1}
 
 
