@@ -1,4 +1,4 @@
-"""From per-weight quotient dimensions to GL-irreducible multiplicities.
+"""From block quotient dimensions to GL-irreducible multiplicities.
 
 Everything in sight is GL(V)-equivariant, so a graded piece is
 determined by the quotient dimensions of its dominant weight blocks.
@@ -6,6 +6,18 @@ Writing dim_mu = sum_lam mult_lam * K_{lam,mu} with K the Kostka
 numbers, and walking dominant weights in descending lexicographic order
 (a linear extension of dominance), the system is unitriangular and
 solves by back substitution.
+
+Over Sym no solve is needed: mult_lam is the quotient dimension of the
+highest-weight (HW) block at lam, whose basis is the weyl_dim(lam,
+rank) standard bideterminants of shape lam (see presentations), one
+block per partition with at most rank parts.  One ordinary weight block
+is computed as well, the check block at the hook mu = (d - r + 1, 1,
+..., 1) with r = min(rank, d) parts, and its dimension must equal
+sum_kappa mult_kappa * K_{kappa,mu}.  The kappa it sees are those that
+dominate mu, the kappa_1 >= d - r + 1: for d >= rank, (d), (d-1, 1),
+(d-2, 2) and (d-2, 1, 1) at rank 3, (d) and (d-1, 1) at rank 2, (d)
+at rank 1.  A wrong HW rank at any other partition passes the check.  weight_dims holds the predicted sums
+sum_kappa mult_kappa * K_{kappa,mu}.
 
 Over the tensor algebra, the solve runs from both ends of dominance.
 In degree d, the block at lam has M(lam) = d!/prod(lam_i!) times a
@@ -20,7 +32,7 @@ down-set and the sign blocks at lam' for lam on the up-set, is
 computed as well and must match the value the multiplicities of both
 halves predict.  weight_dims then holds the computed dimension on the
 up-set and the predicted sum_kappa mult_kappa * K_{kappa,mu} on the
-down-set.  Sym cells use ordinary blocks only.
+down-set.
 
 The number of variables is the row bound: rank many for sym, the
 degree for tensor; no partition with more rows can appear.
@@ -42,9 +54,8 @@ from .combinatorics import (
     rank3_omega_bound,
     weyl_dim,
 )
-from .hopf import SYM, TENSOR
-from .presentations import FunctorSpec, block_result, in_memory, remember_block
-from .tensorspace import basis_size
+from .hopf import SYM
+from .presentations import FunctorSpec, block_cols, block_result, in_memory, remember_block
 
 VIOLATION = "VIOLATION"
 
@@ -109,8 +120,7 @@ def _block_job(args):
 
 
 def _block_cols(block) -> int:
-    spec, weight = block
-    return basis_size(spec.hopf, spec.rank, weight)
+    return block_cols(*block)
 
 
 def _quotient_dims(blocks, jobs, cache_dir) -> dict:
@@ -151,13 +161,56 @@ def decompose(
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if spec.hopf.odd:
-        raise ValueError("decompose takes a spec over even generators")
+    if spec.hopf.odd or spec.highest_weight:
+        raise ValueError("decompose takes a spec of weight blocks over even generators")
     m = default_num_vars(spec, degree)
     wspec = spec.with_num_vars(m)
-    two_ended = wspec.hopf.kind == TENSOR
-    sspec = replace(wspec, hopf=replace(wspec.hopf, odd=True)) if two_ended else None
     parts = partitions_of(degree, m)
+    solve = _highest_weight_solve if wspec.hopf.kind == SYM else _two_ended_solve
+    entries, weight_dims = solve(wspec, degree, parts, jobs, cache_dir)
+    dec = Decomposition(wspec, degree, entries, weight_dims)
+    _check_reconstruction(dec)
+    return dec
+
+
+def _check_block(kind, block, dim, entries, wspec, degree, table) -> None:
+    """A block computed besides those the multiplicities come from must
+    have the dimension they predict."""
+    predicted = _predicted(block, entries)
+    if dim != predicted:
+        raise InconsistentBlockTableError(
+            f"{kind} block {block[0].key()} at {block[1]} has dimension {dim}, but the "
+            f"multiplicities of {wspec.key()} degree {degree} predict {predicted}",
+            table,
+        )
+
+
+def _highest_weight_solve(wspec, degree, parts, jobs, cache_dir):
+    """Sym: the multiplicity of lam is the quotient dimension of the HW
+    block at lam.  The check block is the ordinary weight block at the
+    hook mu = (d - r + 1, 1, ..., 1) with r = min(rank, d) parts.
+    K_{kappa,mu} is nonzero exactly when kappa dominates mu, which for
+    a kappa of at most r parts means kappa_1 >= d - r + 1; those kappa
+    have every row count from 1 to r, and a wrong HW dimension at any
+    of them shows in the check."""
+    m = wspec.hopf.num_vars
+    hw = replace(wspec, highest_weight=True)
+    r = min(wspec.rank, degree)
+    hook = (degree - r + 1,) + (1,) * (r - 1) if r else ()
+    check = (wspec, pad_weight(hook, m))
+    blocks = [(hw, pad_weight(lam, m)) for lam in parts]
+    dims = _quotient_dims(blocks + [check], jobs, cache_dir)
+    entries = {lam: dims[block] for lam, block in zip(parts, blocks) if dims[block]}
+    weight_dims = {lam: _predicted((wspec, lam), entries) for lam in parts}
+    _check_block("check", check, dims[check], entries, wspec, degree, weight_dims)
+    return entries, weight_dims
+
+
+def _two_ended_solve(wspec, degree, parts, jobs, cache_dir):
+    """Tensor: the Kostka solve from both ends of dominance, with the
+    boundary block."""
+    m = wspec.hopf.num_vars
+    sspec = replace(wspec, hopf=replace(wspec.hopf, odd=True))
 
     def ordinary(lam):
         return (wspec, pad_weight(lam, m))
@@ -165,9 +218,7 @@ def decompose(
     def sign(lam):
         return (sspec, pad_weight(conjugate(lam), m))
 
-    up = parts
-    if two_ended:
-        up = [lam for lam in parts if _block_cols(ordinary(lam)) <= _block_cols(sign(lam))]
+    up = [lam for lam in parts if _block_cols(ordinary(lam)) <= _block_cols(sign(lam))]
     down = [lam for lam in parts if lam not in up]
     # top down through the up-set, then bottom up through the down-set:
     # every kappa whose coefficient in lam's block is nonzero comes first
@@ -192,24 +243,21 @@ def decompose(
     entries = {lam: solved[lam] for lam in parts if lam in solved}
     weight_dims = {lam: table[lam] if lam in up else _predicted(ordinary(lam), entries)
                    for lam in parts}
-    if boundary is not None and dims[boundary] != _predicted(boundary, entries):
-        raise InconsistentBlockTableError(
-            f"boundary block {boundary[0].key()} at {boundary[1]} has dimension "
-            f"{dims[boundary]}, but the multiplicities of {wspec.key()} degree {degree} "
-            f"predict {_predicted(boundary, entries)}",
-            weight_dims,
-        )
-    dec = Decomposition(wspec, degree, entries, weight_dims)
-    _check_reconstruction(dec)
-    return dec
+    if boundary is not None:
+        _check_block("boundary", boundary, dims[boundary], entries, wspec, degree, weight_dims)
+    return entries, weight_dims
 
 
 def _check_reconstruction(dec: Decomposition) -> None:
     """The Weyl-dimension sum must reproduce the orbit-summed block
     dims.  weight_dims equals sum_kappa mult_kappa * K_{kappa,mu} by
-    construction, so this checks kostka, weyl_dim and weight_orbit_size
+    construction: for Sym every entry is that prediction, and for
+    tensor the computed up-set entries equal it once the solve
+    succeeds.  So this checks kostka, weyl_dim and weight_orbit_size
     against each other, not the block dimensions: a wrong block rank
-    that leaves every multiplicity nonnegative passes it."""
+    that leaves every multiplicity nonnegative passes it.  The block
+    dimensions are checked by the Sym check block and the tensor
+    boundary block."""
     via_weyl = dec.total_dim()
     via_blocks = dec.summed_block_dims()
     if via_weyl != via_blocks:

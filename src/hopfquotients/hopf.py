@@ -74,6 +74,12 @@ class HopfAlgebra:
         if self.odd and self.kind != TENSOR:
             raise ValueError("odd generators only exist for the tensor algebra")
 
+    @property
+    def commutative(self) -> bool:
+        """Whether the product of any two basis elements commutes, so
+        that the conjugation defect ad is zero: true for sym."""
+        return self.kind == SYM
+
     def degree(self, elem) -> int:
         return len(elem)
 

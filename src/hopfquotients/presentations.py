@@ -9,11 +9,12 @@ Every presentation, ranks 1 to 3, is one entry of RELATIONS: a tuple
 of relations, each a formal sum of words in the slot operators of
 tensorspace, applied on the right (left to right) to each basis tuple
 of the block.  Over Sym the block's degree picks the finer rank-3
-quotient's entry for even or for odd degree.  Every block first imposes
-the conjugation defect, the one-word relation (('ad',),), so every
-quotient is really a quotient of the reduced tensor power; for the
-tensor algebra it also carries the commutators of rank 1.  So every row
-is the image of one relation on one basis tuple.
+quotient's entry for even or for odd degree.  Every block of the tensor
+algebra first imposes the conjugation defect, the one-word relation
+(('ad',),), so every quotient is really a quotient of the reduced tensor
+power; over Sym, whose product commutes, the defect is zero and is
+skipped.  For the tensor algebra RELATIONS also carries the commutators
+of rank 1.  So every row is the image of one relation on one basis tuple.
 
 Over the tensor algebra with odd generators, HopfAlgebra(TENSOR, m,
 odd=True), the slot operators carry Koszul signs (see hopf and
@@ -24,6 +25,25 @@ sum_lam mult_lam * K_{lam',nu}.  Its rows are generated like any
 other block's, from its own basis tuples; the tests compare them with
 the multilinear block's rows folded onto Young-subgroup orbits, which
 they equal up to one sign per column and one per row.
+
+Over Sym a spec with highest_weight=True gives highest-weight (HW)
+blocks, one per partition lam: its quotient dimension is the
+multiplicity of lam itself.  Every relation is a GL(V)-equivariant map,
+so the HW vectors of the relation span are the relations' images of the
+HW vectors of Sym(V)^(x)n.  Those have the basis of standard
+bideterminants (De Concini, Eisenbud and Procesi, Young diagrams and
+determinantal varieties, 1980): one per semistandard tableau T of shape
+lam filled with slot indices 0..n-1, the product over T's columns
+s_0 < ... < s_{k-1} of the minor det[x_{s_i, j}], j = 0..k-1, where
+x_{s, j} is variable j in slot s.  There are weyl_dim(lam, n) of them.
+Each is expanded over the weight block's basis tuples at lam, and its
+rows are the relations' images, summed from the images of the tuples
+in its support, each applied once, in the weight block's own
+coordinates.  Under lexicographic order of the exponents of x_{0,0},
+x_{0,1}, ..., each bideterminant leads with its diagonal monomial,
+which records the content of every row of T, so the leading monomials
+are distinct and the basis independent; relation_rows asserts that per
+block.
 """
 
 from __future__ import annotations
@@ -33,7 +53,9 @@ import os
 import hashlib
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement, permutations
 
+from .combinatorics import weyl_dim
 from .exactla import rank_distinct
 from .hopf import SYM, HopfAlgebra
 from .tensorspace import apply_expr, basis_size, block_index, tensor_basis
@@ -53,7 +75,8 @@ _F = ("F",)
 _U0 = ("U", 0)
 _U1 = ("U", 1)
 _ID = (1, ())
-# the conjugation defect, imposed in every block before RELATIONS
+# the conjugation defect, imposed before RELATIONS in every block of a
+# noncommutative algebra
 _CONJUGATION_DEFECT = ((1, (("ad",),)),)
 
 # The six rank-3 relation operators for the finer quotient, as formal
@@ -149,50 +172,150 @@ RELATIONS = {
 
 @dataclass(frozen=True)
 class FunctorSpec:
-    """Which quotient functor to realize, over which Hopf algebra."""
+    """Which quotient functor to realize, over which Hopf algebra, and
+    whether its blocks are weight blocks or, over sym, highest-weight
+    blocks at partitions."""
 
     functor: str
     rank: int
     hopf: HopfAlgebra
+    highest_weight: bool = False
 
     def __post_init__(self):
         if self.functor not in (H_FUNCTOR, OMEGA_FUNCTOR):
             raise ValueError(f"functor must be H or Omega, got {self.functor!r}")
         if self.rank not in (1, 2, 3):
             raise ValueError("rank must be 1, 2 or 3")
+        if self.highest_weight and self.hopf.kind != SYM:
+            raise ValueError("highest-weight blocks are only built over sym")
 
     def with_num_vars(self, m: int) -> "FunctorSpec":
         return replace(self, hopf=replace(self.hopf, num_vars=m))
 
     def key(self) -> str:
         key = f"{self.functor}|{self.rank}|{self.hopf.kind}|{self.hopf.num_vars}"
-        return key + "|odd" if self.hopf.odd else key
+        if self.hopf.odd:
+            key += "|odd"
+        return key + "|hw" if self.highest_weight else key
 
 
 def relation_rows(spec: FunctorSpec, weight):
-    """Materialize the relation rows for one weight block.
+    """Materialize the relation rows for one block.
 
-    Returns (basis, rows) where rows are integer dict-vectors over
-    column indices into basis, each packed as soon as it is generated:
-    the nonzero images of the conjugation defect on every basis tuple,
-    then, basis tuple by basis tuple, those of the block's relations.
+    For a weight block, returns (basis, rows) where rows are integer
+    dict-vectors over column indices into basis, each packed as soon as
+    it is generated: the nonzero images of the conjugation defect on
+    every basis tuple (none over sym, where it is zero), then, basis
+    tuple by basis tuple, those of the block's relations.  For a
+    highest-weight block, basis is the tuple of semistandard tableaux
+    and the rows are those of _highest_weight_rows.
     """
     H = spec.hopf
     weight = tuple(weight)
     key = (spec.functor, spec.rank)
     parity = ("odd" if sum(weight) % 2 else "even") if H.kind == SYM else "none"
     exprs = RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
+    if spec.highest_weight:
+        return _highest_weight_rows(H, spec.rank, weight, exprs)
     # odd generators have the same basis: share the even block's cache entry
     basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
     index = block_index(basis)
     rows = []
-    for group in ((_CONJUGATION_DEFECT,), exprs):
+    groups = (exprs,) if H.commutative else ((_CONJUGATION_DEFECT,), exprs)
+    for group in groups:
         for t in basis:
             for expr in group:
                 row = apply_expr(H, expr, t)
                 if row:
                     rows.append({index[u]: c for u, c in row.items()})
     return basis, rows
+
+
+def semistandard_tableaux(shape, n: int) -> list:
+    """Semistandard tableaux of the partition shape with entries 0..n-1,
+    as tuples of rows: rows weakly increase, columns strictly."""
+    tableaux = [()]
+    for length in shape:
+        tableaux = [
+            tableau + (row,)
+            for tableau in tableaux
+            for row in combinations_with_replacement(range(n), length)
+            if not tableau or all(a < b for a, b in zip(tableau[-1], row))
+        ]
+    return tableaux
+
+
+def _bideterminant(tableau, shift) -> dict:
+    """The product of the column minors of tableau, as a polynomial
+    {packed monomial: coefficient}; shift(s, j) is the bit offset of the
+    exponent of x_{s, j} in a packed monomial."""
+    poly = {0: 1}
+    for c in range(len(tableau[0]) if tableau else 0):
+        column = [row[c] for row in tableau if len(row) > c]
+        minor = {}
+        for perm in permutations(range(len(column))):
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            monomial = sum(1 << shift(s, j) for s, j in zip(column, perm))
+            minor[monomial] = (-1) ** inversions
+        product: dict = {}
+        for a, x in poly.items():
+            for b, y in minor.items():
+                product[a + b] = product.get(a + b, 0) + x * y
+        poly = {k: v for k, v in product.items() if v}
+    return poly
+
+
+def _highest_weight_rows(H: HopfAlgebra, n: int, weight: tuple, exprs):
+    """The HW block at the partition weight of H^(x)n under exprs.
+
+    Returns (basis, rows): basis holds the semistandard tableaux of
+    shape weight with entries 0..n-1, and the rows are, tableau by
+    tableau, the nonzero images under exprs of its bideterminant.  They
+    are dict-vectors over the weight block's basis tuples, numbered in
+    order of first appearance, and each is summed from the images of
+    the tuples in the bideterminant's support, applied once per tuple.
+    Raises AssertionError when two bideterminants share their leading
+    monomial, so their independence is not certified."""
+    if list(weight) != sorted(weight, reverse=True):
+        raise ValueError(f"a highest-weight block sits at a partition, not {weight}")
+    m = len(weight)
+    # room for every exponent up to the degree
+    bits = max(sum(weight), 1).bit_length()
+    mask = (1 << bits) - 1
+
+    def shift(s, j):
+        # x_{0,0} in the highest bits, so integer order is lex order
+        return (n * m - 1 - s * m - j) * bits
+
+    basis = semistandard_tableaux([p for p in weight if p], n)
+    vectors = [_bideterminant(tableau, shift) for tableau in basis]
+    if len({max(vector) for vector in vectors}) != len(vectors):
+        raise AssertionError(f"bideterminants at {weight} share a leading monomial")
+    # monomial -> its coefficient in each bideterminant that has it
+    uses: dict = {}
+    for i, vector in enumerate(vectors):
+        for monomial, c in vector.items():
+            uses.setdefault(monomial, []).append((i, c))
+    sums = [[{} for _ in exprs] for _ in vectors]
+    index: dict = {}
+    for monomial, coeffs in uses.items():
+        t = tuple(
+            tuple(j for j in range(m) for _ in range((monomial >> shift(s, j)) & mask))
+            for s in range(n)
+        )
+        for k, expr in enumerate(exprs):
+            for u, v in apply_expr(H, expr, t).items():
+                col = index.setdefault(u, len(index))
+                for i, c in coeffs:
+                    row = sums[i][k]
+                    row[col] = row.get(col, 0) + c * v
+    rows = []
+    for vector_sums in sums:
+        for row in vector_sums:
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return tuple(basis), rows
 
 
 @dataclass
@@ -204,6 +327,15 @@ class BlockResult:
     @property
     def quotient_dim(self) -> int:
         return self.ambient_dim - self.rank
+
+
+def block_cols(spec: FunctorSpec, weight) -> int:
+    """The ambient dimension of a block, counted without building it:
+    weyl_dim(lam, rank) bideterminants for the HW block at lam, the
+    size of the tensor basis for a weight block."""
+    if spec.highest_weight:
+        return weyl_dim([p for p in weight if p], spec.rank)
+    return basis_size(spec.hopf, spec.rank, weight)
 
 
 _MEM_CACHE: dict = {}
@@ -234,6 +366,7 @@ def _spec_record(spec: FunctorSpec) -> dict:
         "hopf": spec.hopf.kind,
         "num_vars": spec.hopf.num_vars,
         "odd": spec.hopf.odd,
+        "highest_weight": spec.highest_weight,
     }
 
 
@@ -255,7 +388,7 @@ def _read_record(path, spec: FunctorSpec, weight):
         or record.get("weight") != list(weight)
         or any(type(value) is not int for value in (ambient, rank, quotient))
         # the three numbers must agree with each other and with the block
-        or not 0 <= rank <= ambient == basis_size(spec.hopf, spec.rank, weight)
+        or not 0 <= rank <= ambient == block_cols(spec, weight)
         or quotient != ambient - rank
     ):
         return None

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from reference_dims import quotient_dim
+from reference_ops import general_reading, reversed_reading
 from hopfquotients import cli
 from hopfquotients.combinatorics import conjugate, kostka, partitions_of
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -276,6 +277,86 @@ class TestTwoEndedSolve:
         assert out == ""
         assert err.startswith("error: boundary block") and "Traceback" not in err
         assert err.count("\n") == 1
+
+
+class TestHighestWeightSolve:
+    """Sym cells decompose from one HW block per partition plus the
+    check block at the hook (d - r + 1, 1, ..., 1)."""
+
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_the_ordinary_back_substitution(self, functor, rank):
+        s = spec(functor, rank, SYM)
+        for degree in range(9):
+            dec = decompose(s, degree)
+            assert dec.entries == ordinary_multiplicities(s, degree, rank), degree
+            for lam, dim in dec.weight_dims.items():
+                assert dim == quotient_dim(dec.spec, pad_weight(lam, rank)), (degree, lam)
+
+    def test_jobs_give_the_serial_result_and_fill_the_parent_cache(self, monkeypatch, clean_cache):
+        s = spec(OMEGA_FUNCTOR, 3, SYM)
+        serial = decompose(s, 6)
+        presentations._MEM_CACHE.clear()
+        parallel = decompose(s, 6, jobs=2)
+        assert parallel.entries == serial.entries
+        assert parallel.weight_dims == serial.weight_dims
+        hw = replace(parallel.spec, highest_weight=True)
+        for lam in partitions_of(6, 3):
+            assert presentations.in_memory(hw, pad_weight(lam, 3)), lam
+        assert presentations.in_memory(parallel.spec, (4, 1, 1))
+
+        def boom(*a, **k):
+            raise AssertionError("should have come from the memory cache")
+
+        monkeypatch.setattr(presentations, "compute_block", boom)
+        monkeypatch.setattr(multiprocessing, "Pool", boom)
+        assert decompose(s, 6, jobs=2).entries == serial.entries
+
+    def test_hw_spec_is_not_decomposed(self):
+        with pytest.raises(ValueError):
+            decompose(FunctorSpec(H_FUNCTOR, 2, HopfAlgebra(SYM, 1), highest_weight=True), 3)
+
+    @staticmethod
+    def doctor(monkeypatch, partition, delta):
+        """Shift the rank of the HW block at partition by delta."""
+        real = presentations.compute_block
+
+        def doctored(s, weight):
+            result = real(s, weight)
+            if s.highest_weight and weight == partition:
+                result = replace(result, rank=result.rank + delta)
+            return result
+
+        monkeypatch.setattr(presentations, "compute_block", doctored)
+
+    # Omega rank 3 degree 6 is {(6,): 1, (5, 1): 2, (4, 2): 1}; its check
+    # block at (4, 1, 1) sees (6), (5, 1), (4, 2) and (4, 1, 1)
+    @pytest.mark.parametrize("partition", [(6, 0, 0), (5, 1, 0), (4, 2, 0), (4, 1, 1)])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_doctored_hw_block_rejected(self, monkeypatch, clean_cache, partition, delta):
+        self.doctor(monkeypatch, partition, delta)
+        with pytest.raises(InconsistentBlockTableError, match="check block"):
+            decompose(spec(OMEGA_FUNCTOR, 3, SYM), 6)
+
+    def test_doctored_hw_block_exits_one(self, monkeypatch, capsys, clean_cache):
+        self.doctor(monkeypatch, (5, 1, 0), -1)
+        code = cli.main(["compute", "--functor", "Omega", "--rank", "3", "--hopf", "sym",
+                         "--degree", "6"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: check block") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("reading", [general_reading, reversed_reading])
+    def test_readings_steer_the_hw_blocks(self, reading):
+        s = spec(H_FUNCTOR, 3, SYM)
+        engine = {degree: decompose(s, degree).entries for degree in range(7)}
+        with general_reading(), reading():
+            steered = {degree: decompose(s, degree).entries for degree in range(7)}
+            for degree in range(7):
+                assert steered[degree] == ordinary_multiplicities(s, degree, 3), degree
+        assert (steered == engine) == (reading is general_reading)
 
 
 class TestReconstructionGuard:

@@ -8,7 +8,7 @@ import pytest
 
 from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
 from reference_ops import bar_rows, general_reading, reversed_reading, sign_block_rows, sign_fold
-from hopfquotients.combinatorics import cusp_dim, partitions_of
+from hopfquotients.combinatorics import cusp_dim, partitions_of, weyl_dim
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients import presentations
@@ -16,14 +16,16 @@ from hopfquotients.presentations import (
     H_FUNCTOR,
     OMEGA_FUNCTOR,
     FunctorSpec,
+    block_cols,
     block_result,
     compute_block,
     relation_rows,
+    semistandard_tableaux,
 )
 
 
-def spec(functor, rank, kind, m, odd=False):
-    return FunctorSpec(functor, rank, HopfAlgebra(kind, m, odd))
+def spec(functor, rank, kind, m, odd=False, hw=False):
+    return FunctorSpec(functor, rank, HopfAlgebra(kind, m, odd), highest_weight=hw)
 
 
 def weights(max_degree):
@@ -74,6 +76,12 @@ class TestFunctorSpec:
             for m in (1, 2)
         }
         assert len(keys) == 24
+
+    def test_highest_weight_blocks_only_over_sym(self):
+        assert spec(H_FUNCTOR, 2, SYM, 2, hw=True).key() == "H|2|sym|2|hw"
+        assert spec(H_FUNCTOR, 2, SYM, 2, hw=True).with_num_vars(3).highest_weight
+        with pytest.raises(ValueError):
+            spec(H_FUNCTOR, 2, TENSOR, 2, hw=True)
 
 
 class TestRankOne:
@@ -152,6 +160,106 @@ class TestBlockResult:
         assert handed == [expected]
 
 
+def padded_partitions(max_degree, m):
+    for degree in range(max_degree + 1):
+        for lam in partitions_of(degree, m):
+            yield tuple(lam) + (0,) * (m - len(lam))
+
+
+class TestHighestWeightBlocks:
+    """The HW block at lam has the standard bideterminants of shape lam
+    as its basis; the tests check that they are highest-weight vectors
+    of weight lam with distinct diagonal leading monomials, as many as
+    weyl_dim(lam, n), so a basis of the HW space."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bideterminants_are_highest_weight_vectors(self, n):
+        m = 3
+        for weight in padded_partitions(6, m):
+            lam = [p for p in weight if p]
+            tableaux = semistandard_tableaux(lam, n)
+            assert len(tableaux) == weyl_dim(lam, n) == block_cols(
+                spec(H_FUNCTOR, n, SYM, m, hw=True), weight)
+            # the packing _highest_weight_rows uses: x_{0,0} in the highest bits
+            bits = max(sum(weight), 1).bit_length()
+            offsets = [[(n * m - 1 - s * m - j) * bits for j in range(m)] for s in range(n)]
+            leads = set()
+            for tableau in tableaux:
+                poly = presentations._bideterminant(tableau, lambda s, j: offsets[s][j])
+                # each monomial as its n x m exponent matrix
+                terms = {tuple(tuple((key >> at) % (1 << bits) for at in row) for row in offsets): c
+                         for key, c in poly.items()}
+                for e in terms:
+                    assert tuple(sum(row[j] for row in e) for j in range(m)) == weight
+                # the raising operators sum_s x_{s,j} d/dx_{s,j+1} kill it
+                for j in range(m - 1):
+                    raised = {}
+                    for e, c in terms.items():
+                        for s in range(n):
+                            if e[s][j + 1]:
+                                row = list(e[s])
+                                row[j] += 1
+                                row[j + 1] -= 1
+                                key = e[:s] + (tuple(row),) + e[s + 1:]
+                                raised[key] = raised.get(key, 0) + c * e[s][j + 1]
+                    assert not any(raised.values()), (tableau, j)
+                # the leading monomial is the diagonal: slot s row r counts
+                # the s in row r of the tableau, with coefficient 1
+                diagonal = tuple(tuple(row.count(s) for row in tableau) + (0,) * (m - len(tableau))
+                                 for s in range(n))
+                assert terms[max(terms)] == 1 and max(terms) == diagonal
+                leads.add(diagonal)
+            assert len(leads) == len(tableaux)
+
+    def test_rows_and_ambient(self):
+        s = spec(OMEGA_FUNCTOR, 3, SYM, 3, hw=True)
+        basis, rows = relation_rows(s, (4, 2, 0))
+        assert len(basis) == weyl_dim((4, 2), 3) == 27
+        result = compute_block(s, (4, 2, 0))
+        assert result.ambient_dim == 27 and result.quotient_dim == 1
+
+    def test_weight_must_be_a_partition(self):
+        with pytest.raises(ValueError):
+            relation_rows(spec(H_FUNCTOR, 2, SYM, 2, hw=True), (1, 3))
+
+    def test_dependent_basis_is_refused(self, monkeypatch):
+        monkeypatch.setattr(presentations, "_bideterminant", lambda tableau, shift: {1: 1})
+        with pytest.raises(AssertionError, match="leading monomial"):
+            relation_rows(spec(H_FUNCTOR, 2, SYM, 2, hw=True), (3, 1))
+
+
+_MANGLES = {
+    "list": lambda record: [record],
+    "weight-int": lambda record: {**record, "weight": 5},
+    "other-weight": lambda record: {**record, "weight": [1, 3]},
+    "rank-str": lambda record: {**record, "rank": "x"},
+    "rank-null": lambda record: {**record, "rank": None},
+    "dim-float": lambda record: {**record, "ambient_dim": 4.0},
+    # a wrong rank too, so that accepting the record would show
+    "other-spec": lambda record: {**record, "spec": {**record["spec"], "functor": "Omega"},
+                                  "rank": 0},
+    "spec-null": lambda record: {**record, "spec": None, "rank": 0},
+    # well typed, but the numbers disagree with each other or the block
+    "rank-above-dim": lambda record: {**record, "rank": record["ambient_dim"] + 3,
+                                      "quotient_dim": -3},
+    "rank-negative": lambda record: {**record, "rank": -1,
+                                     "quotient_dim": record["ambient_dim"] + 1},
+    "other-dim": lambda record: {**record, "ambient_dim": record["ambient_dim"] + 1,
+                                 "rank": record["rank"] + 1},
+    "other-quotient": lambda record: {**record, "rank": record["rank"] - 1},
+}
+# an HW record must also hold weyl_dim(lam, rank) columns, not the
+# weight block's count, and say that it is an HW record
+_HW_MANGLES = {
+    # the weight block at (3, 1, 0) has 30 columns
+    "hw-weight-block-dim": lambda record: {**record, "ambient_dim": 30,
+                                           "rank": 30 - record["quotient_dim"]},
+    "hw-not-marked": lambda record: {**record, "rank": 0, "spec": {
+        **record["spec"], "highest_weight": False}},
+    "hw-partition-reversed": lambda record: {**record, "weight": [0, 1, 3]},
+}
+
+
 class TestCaching:
     def setup_method(self):
         presentations._MEM_CACHE.clear()
@@ -187,35 +295,44 @@ class TestCaching:
         assert fresh.rank != 12345
 
     @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda record: [record],
-            lambda record: {**record, "weight": 5},
-            lambda record: {**record, "weight": [1, 3]},
-            lambda record: {**record, "rank": "x"},
-            lambda record: {**record, "rank": None},
-            lambda record: {**record, "ambient_dim": 4.0},
-            # a wrong rank too, so that accepting the record would show
-            lambda record: {**record, "spec": {**record["spec"], "functor": "Omega"}, "rank": 0},
-            lambda record: {**record, "spec": None, "rank": 0},
-            # well typed, but the numbers disagree with each other or the block
-            lambda record: {**record, "rank": record["ambient_dim"] + 3, "quotient_dim": -3},
-            lambda record: {**record, "rank": -1, "quotient_dim": record["ambient_dim"] + 1},
-            lambda record: {**record, "ambient_dim": record["ambient_dim"] + 1,
-                            "rank": record["rank"] + 1},
-            lambda record: {**record, "rank": record["rank"] - 1},
-        ],
-        ids=["list", "weight-int", "other-weight", "rank-str", "rank-null", "dim-float",
-             "other-spec", "spec-null", "rank-above-dim", "rank-negative", "other-dim",
-             "other-quotient"],
+        "mangle, hw",
+        [(_MANGLES[name], False) for name in _MANGLES]
+        + [(_MANGLES[name], True) for name in _MANGLES]
+        + [(_HW_MANGLES[name], True) for name in _HW_MANGLES],
+        ids=list(_MANGLES) + [f"hw-{name}" for name in _MANGLES] + list(_HW_MANGLES),
     )
-    def test_malformed_record_is_a_miss(self, tmp_path, mangle):
-        s = spec(H_FUNCTOR, 2, SYM, 2)
-        first = block_result(s, (3, 1), cache_dir=str(tmp_path))
+    def test_malformed_record_is_a_miss(self, tmp_path, mangle, hw):
+        s, weight = (spec(H_FUNCTOR, 3, SYM, 3, hw=True), (3, 1, 0)) if hw else (
+            spec(H_FUNCTOR, 2, SYM, 2), (3, 1))
+        first = block_result(s, weight, cache_dir=str(tmp_path))
         path = tmp_path / os.listdir(tmp_path)[0]
         path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
         presentations._MEM_CACHE.clear()
-        assert block_result(s, (3, 1), cache_dir=str(tmp_path)) == first
+        assert presentations._read_record(path, s, weight) is None
+        assert block_result(s, weight, cache_dir=str(tmp_path)) == first
+
+    def test_highest_weight_and_weight_blocks_are_cached_apart(self, tmp_path):
+        ordinary = spec(OMEGA_FUNCTOR, 3, SYM, 3)
+        hw = spec(OMEGA_FUNCTOR, 3, SYM, 3, hw=True)
+        weight = (4, 2, 0)
+        tokens = [presentations._cache_token(kind, weight) for kind in (ordinary, hw)]
+        assert tokens[0] != tokens[1]
+        a = block_result(ordinary, weight, cache_dir=str(tmp_path))
+        b = block_result(hw, weight, cache_dir=str(tmp_path))
+        # so that answering one from the other's record would show
+        assert (a.ambient_dim, a.quotient_dim) != (b.ambient_dim, b.quotient_dim)
+        paths = [Path(presentations._cache_path(str(tmp_path), token)) for token in tokens]
+        assert sorted(paths) == sorted(tmp_path.iterdir())
+        assert presentations._read_record(paths[0], hw, weight) is None
+        assert presentations._read_record(paths[1], ordinary, weight) is None
+
+        # each file holding the other kind's record is a miss, then recomputed
+        texts = [path.read_text() for path in paths]
+        paths[0].write_text(texts[1])
+        paths[1].write_text(texts[0])
+        presentations._MEM_CACHE.clear()
+        assert block_result(ordinary, weight, cache_dir=str(tmp_path)) == a
+        assert block_result(hw, weight, cache_dir=str(tmp_path)) == b
 
     def test_sign_and_ordinary_blocks_are_cached_apart(self, tmp_path):
         ordinary = spec(OMEGA_FUNCTOR, 2, TENSOR, 4)
@@ -306,6 +423,16 @@ class TestConjugationDefectRows:
             standardize, fold = sign_fold(weight)
             folded = [fold(row) for row in bar_rows(even, rank, weight, standardize)]
             assert_rows_match_up_to_signs(basis, rows, [row for row in folded if row])
+
+    @pytest.mark.parametrize("kind", [SYM, TENSOR])
+    def test_applied_over_the_tensor_algebra_only(self, kind, monkeypatch):
+        # over sym the product commutes, so v * r_i - r_i * v is zero
+        applied = []
+        real = presentations.apply_expr
+        monkeypatch.setattr(presentations, "apply_expr",
+                            lambda H, expr, t: applied.append(expr) or real(H, expr, t))
+        relation_rows(spec(OMEGA_FUNCTOR, 3, kind, 3), (2, 1, 1))
+        assert (presentations._CONJUGATION_DEFECT in applied) == (kind == TENSOR)
 
 
 class TestSignBlockRows:
