@@ -7,9 +7,8 @@ Three subcommands, all emitting canonical JSON on stdout:
   bounds    compare computed multiplicities with the closed formulas
 
 Exit codes: 0 success; 1 verification mismatch, bound violation, or
-a cell whose block dimensions give a negative multiplicity, disagree
-with its Sym check block or tensor boundary block or fail the Weyl
-reconstruction identity
+a cell whose check blocks disagree with the multiplicities of its
+highest-weight blocks, or that fails the Weyl reconstruction identity
 (which only faulty Kostka, Weyl-dimension or orbit counts can fail);
 2 bad usage (--jobs below 1 included), unreadable input or an unusable
 --cache-dir.

@@ -26,24 +26,34 @@ other block's, from its own basis tuples; the tests compare them with
 the multilinear block's rows folded onto Young-subgroup orbits, which
 they equal up to one sign per column and one per row.
 
-Over Sym a spec with highest_weight=True gives highest-weight (HW)
-blocks, one per partition lam: its quotient dimension is the
-multiplicity of lam itself.  Every relation is a GL(V)-equivariant map,
-so the HW vectors of the relation span are the relations' images of the
-HW vectors of Sym(V)^(x)n.  Those have the basis of standard
-bideterminants (De Concini, Eisenbud and Procesi, Young diagrams and
-determinantal varieties, 1980): one per semistandard tableau T of shape
-lam filled with slot indices 0..n-1, the product over T's columns
-s_0 < ... < s_{k-1} of the minor det[x_{s_i, j}], j = 0..k-1, where
-x_{s, j} is variable j in slot s.  There are weyl_dim(lam, n) of them.
-Each is expanded over the weight block's basis tuples at lam, and its
-rows are the relations' images, summed from the images of the tuples
-in its support, each applied once, in the weight block's own
-coordinates.  Under lexicographic order of the exponents of x_{0,0},
-x_{0,1}, ..., each bideterminant leads with its diagonal monomial,
-which records the content of every row of T, so the leading monomials
-are distinct and the basis independent; relation_rows asserts that per
-block.
+A spec with highest_weight=True gives highest-weight (HW) blocks, one
+per partition lam: its quotient dimension is the multiplicity of lam
+itself.  Every relation, the conjugation defect included, is a
+GL(V)-equivariant map, so the HW vectors of the relation span are the
+relations' images of the HW vectors of H^(x)n.  Their basis is built
+from bideterminants (De Concini, Eisenbud and Procesi, Young diagrams
+and determinantal varieties, 1980): for a tableau T of shape lam, the
+product over T's columns s_0 < ... < s_{k-1} of the minor
+det[x_{s_i, j}], j = 0..k-1.
+  * Over Sym, x_{s, j} is variable j in slot s, and T runs over the
+    semistandard tableaux filled with slots 0..n-1: weyl_dim(lam, n)
+    vectors.
+  * Over the tensor algebra, x_{p, j} puts letter j at position p of a
+    word of length d, and T runs over the standard tableaux filled with
+    positions 0..d-1, so the bideterminant is the Specht polytabloid
+    (Fulton, Young Tableaux, section 7).  Each monomial is read as a
+    word and cut every way into n slots: C(d + n - 1, n - 1) * f^lam
+    vectors.  Over odd generators the same vectors span the HW space,
+    as the group acts on letters without signs.
+Under lexicographic order of the exponents of x_{0,0}, x_{0,1}, ...,
+each bideterminant leads with its diagonal monomial, with coefficient
+1, which records the row of every entry of T, so the leading monomials
+are distinct.  relation_rows asserts that per block.  The rows are the
+relations' images of the basis, summed from the images of the tuples in
+its support, each applied once, and projected onto the columns at the
+basis's leading tuples.  On the HW space this projection is
+unitriangular in lead order, so it keeps every rank, and a block has as
+many columns as basis vectors.
 """
 
 from __future__ import annotations
@@ -54,8 +64,9 @@ import hashlib
 import tempfile
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations
+from math import comb
 
-from .combinatorics import weyl_dim
+from .combinatorics import kostka, weyl_dim
 from .exactla import rank_distinct
 from .hopf import SYM, HopfAlgebra
 from .tensorspace import apply_expr, basis_size, block_index, tensor_basis
@@ -173,8 +184,8 @@ RELATIONS = {
 @dataclass(frozen=True)
 class FunctorSpec:
     """Which quotient functor to realize, over which Hopf algebra, and
-    whether its blocks are weight blocks or, over sym, highest-weight
-    blocks at partitions."""
+    whether its blocks are weight blocks or highest-weight blocks at
+    partitions."""
 
     functor: str
     rank: int
@@ -186,8 +197,6 @@ class FunctorSpec:
             raise ValueError(f"functor must be H or Omega, got {self.functor!r}")
         if self.rank not in (1, 2, 3):
             raise ValueError("rank must be 1, 2 or 3")
-        if self.highest_weight and self.hopf.kind != SYM:
-            raise ValueError("highest-weight blocks are only built over sym")
 
     def with_num_vars(self, m: int) -> "FunctorSpec":
         return replace(self, hopf=replace(self.hopf, num_vars=m))
@@ -207,21 +216,21 @@ def relation_rows(spec: FunctorSpec, weight):
     it is generated: the nonzero images of the conjugation defect on
     every basis tuple (none over sym, where it is zero), then, basis
     tuple by basis tuple, those of the block's relations.  For a
-    highest-weight block, basis is the tuple of semistandard tableaux
-    and the rows are those of _highest_weight_rows.
+    highest-weight block, basis holds the leading tuples of its
+    bideterminants, and the rows are those of _highest_weight_rows.
     """
     H = spec.hopf
     weight = tuple(weight)
     key = (spec.functor, spec.rank)
     parity = ("odd" if sum(weight) % 2 else "even") if H.kind == SYM else "none"
     exprs = RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
+    groups = (exprs,) if H.commutative else ((_CONJUGATION_DEFECT,), exprs)
     if spec.highest_weight:
-        return _highest_weight_rows(H, spec.rank, weight, exprs)
+        return _highest_weight_rows(H, spec.rank, weight, sum(groups, ()))
     # odd generators have the same basis: share the even block's cache entry
     basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
     index = block_index(basis)
     rows = []
-    groups = (exprs,) if H.commutative else ((_CONJUGATION_DEFECT,), exprs)
     for group in groups:
         for t in basis:
             for expr in group:
@@ -265,57 +274,96 @@ def _bideterminant(tableau, shift) -> dict:
     return poly
 
 
+def standard_tableaux(shape) -> list:
+    """Standard tableaux of the partition shape with entries 0..|shape|-1,
+    as tuples of rows: each entry in turn ends a row shorter than the
+    row above it."""
+    tableaux = [((),) * len(shape)]
+    for entry in range(sum(shape)):
+        tableaux = [
+            tableau[:i] + (tableau[i] + (entry,),) + tableau[i + 1 :]
+            for tableau in tableaux
+            for i, length in enumerate(shape)
+            if len(tableau[i]) < length and (i == 0 or len(tableau[i]) < len(tableau[i - 1]))
+        ]
+    return tableaux
+
+
 def _highest_weight_rows(H: HopfAlgebra, n: int, weight: tuple, exprs):
     """The HW block at the partition weight of H^(x)n under exprs.
 
-    Returns (basis, rows): basis holds the semistandard tableaux of
-    shape weight with entries 0..n-1, and the rows are, tableau by
-    tableau, the nonzero images under exprs of its bideterminant.  They
-    are dict-vectors over the weight block's basis tuples, numbered in
-    order of first appearance, and each is summed from the images of
-    the tuples in the bideterminant's support, applied once per tuple.
-    Raises AssertionError when two bideterminants share their leading
-    monomial, so their independence is not certified."""
+    Over sym its vectors are the bideterminants of the semistandard
+    tableaux of shape weight with entries 0..n-1, the slots.  Over the
+    tensor algebra they are those of the standard tableaux, whose
+    entries 0..d-1 are letter positions: each monomial is read as the
+    word whose letter p is the j of its x_{p, j}, and cut every way into
+    n words, so there is one vector per cut and tableau, cut by cut.
+
+    Returns (basis, rows): basis holds the vectors' leading tuples, and
+    the rows are, vector by vector, the nonzero images under exprs
+    projected onto those tuples, as dict-vectors over indices into
+    basis.  Each is summed from the images of the tuples in its vector's
+    support, each tuple applied once per expression.  Raises
+    AssertionError when two vectors share their leading tuple, so that
+    neither their independence nor the projection's rank is certified."""
     if list(weight) != sorted(weight, reverse=True):
         raise ValueError(f"a highest-weight block sits at a partition, not {weight}")
-    m = len(weight)
+    m, d = len(weight), sum(weight)
+    shape = [p for p in weight if p]
+    if H.kind == SYM:
+        slots, tableaux, cuts = n, semistandard_tableaux(shape, n), [None]
+    else:
+        slots, tableaux = d, standard_tableaux(shape)
+        cuts = [(0,) + c + (d,) for c in combinations_with_replacement(range(d + 1), n - 1)]
     # room for every exponent up to the degree
-    bits = max(sum(weight), 1).bit_length()
+    bits = max(d, 1).bit_length()
     mask = (1 << bits) - 1
 
     def shift(s, j):
         # x_{0,0} in the highest bits, so integer order is lex order
-        return (n * m - 1 - s * m - j) * bits
+        return (slots * m - 1 - s * m - j) * bits
 
-    basis = semistandard_tableaux([p for p in weight if p], n)
-    vectors = [_bideterminant(tableau, shift) for tableau in basis]
-    if len({max(vector) for vector in vectors}) != len(vectors):
+    def tuples(monomial):
+        """The block tuples of a monomial, one per cut."""
+        words = tuple(
+            tuple(j for j in range(m) for _ in range((monomial >> shift(s, j)) & mask))
+            for s in range(slots)
+        )
+        if H.kind == SYM:
+            return (words,)
+        word = sum(words, ())
+        return tuple(tuple(word[a:b] for a, b in zip(cut, cut[1:])) for cut in cuts)
+
+    vectors = [_bideterminant(tableau, shift) for tableau in tableaux]
+    # vector i in cut c is basis vector c * len(vectors) + i
+    leads = [tuples(max(vector)) for vector in vectors]
+    basis = tuple(lead[c] for c in range(len(cuts)) for lead in leads)
+    index = {t: b for b, t in enumerate(basis)}
+    if len(index) != len(basis):
         raise AssertionError(f"bideterminants at {weight} share a leading monomial")
     # monomial -> its coefficient in each bideterminant that has it
     uses: dict = {}
     for i, vector in enumerate(vectors):
-        for monomial, c in vector.items():
-            uses.setdefault(monomial, []).append((i, c))
-    sums = [[{} for _ in exprs] for _ in vectors]
-    index: dict = {}
+        for monomial, x in vector.items():
+            uses.setdefault(monomial, []).append((i, x))
+    sums = [[{} for _ in exprs] for _ in basis]
     for monomial, coeffs in uses.items():
-        t = tuple(
-            tuple(j for j in range(m) for _ in range((monomial >> shift(s, j)) & mask))
-            for s in range(n)
-        )
-        for k, expr in enumerate(exprs):
-            for u, v in apply_expr(H, expr, t).items():
-                col = index.setdefault(u, len(index))
-                for i, c in coeffs:
-                    row = sums[i][k]
-                    row[col] = row.get(col, 0) + c * v
+        for c, t in enumerate(tuples(monomial)):
+            first = c * len(vectors)
+            for k, expr in enumerate(exprs):
+                for u, v in apply_expr(H, expr, t).items():
+                    col = index.get(u)
+                    if col is not None:
+                        for i, x in coeffs:
+                            row = sums[first + i][k]
+                            row[col] = row.get(col, 0) + x * v
     rows = []
     for vector_sums in sums:
         for row in vector_sums:
             row = {col: v for col, v in row.items() if v}
             if row:
                 rows.append(row)
-    return tuple(basis), rows
+    return basis, rows
 
 
 @dataclass
@@ -331,11 +379,17 @@ class BlockResult:
 
 def block_cols(spec: FunctorSpec, weight) -> int:
     """The ambient dimension of a block, counted without building it:
-    weyl_dim(lam, rank) bideterminants for the HW block at lam, the
-    size of the tensor basis for a weight block."""
-    if spec.highest_weight:
-        return weyl_dim([p for p in weight if p], spec.rank)
-    return basis_size(spec.hopf, spec.rank, weight)
+    the size of the tensor basis for a weight block; for the HW block at
+    lam, weyl_dim(lam, rank) bideterminants over sym, and over the
+    tensor algebra C(d + rank - 1, rank - 1) cuts times f^lam = K_{lam,
+    (1^d)} standard tableaux."""
+    if not spec.highest_weight:
+        return basis_size(spec.hopf, spec.rank, weight)
+    lam = [p for p in weight if p]
+    if spec.hopf.kind == SYM:
+        return weyl_dim(lam, spec.rank)
+    d = sum(lam)
+    return comb(d + spec.rank - 1, spec.rank - 1) * kostka(lam, (1,) * d)
 
 
 _MEM_CACHE: dict = {}

@@ -16,6 +16,11 @@ rows of the multilinear block of the even algebra, folded onto orbits
 of the Young subgroup with the sign of the relabelling.  The engine
 builds the same block as a weight block over odd generators.
 
+hw_vectors() writes out the basis of a highest-weight (HW) block from
+its tableaux, column minor by column minor, and unprojected_hw_rows()
+applies the block's relations to it over the block's own tuples: the
+HW rows before the engine projects them onto the leading tuples.
+
 general_reading() makes Sym blocks of the finer rank-3 quotient use
 the general presentation RANK3_H_EXPRS, which the engine uses only over
 the tensor algebra, so a test can compare it with the even and odd
@@ -28,6 +33,7 @@ published tables.
 
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
@@ -38,6 +44,8 @@ from hopfquotients.presentations import (
     RANK3_H_EXPRS,
     SYM_EVEN_EXPRS,
     SYM_ODD_EXPRS,
+    semistandard_tableaux,
+    standard_tableaux,
 )
 from hopfquotients import tensorspace
 
@@ -223,6 +231,74 @@ def sign_block_rows(spec, weight):
                 row = fold(tensorspace.apply_expr(H, expr, seed))
                 if row:
                     rows.append(row)
+    return rows
+
+
+def hw_vectors(spec, weight):
+    """The basis of the HW block at the partition weight, each vector a
+    dict over the block's tuples.  A tableau's vector is the product of
+    its column minors det[x_{s_i, j}], expanded term by term.  Over sym
+    x_{s, j} puts letter j into slot s, and the tableaux are the
+    semistandard ones with entries 0..rank-1.  Over the tensor algebra
+    it puts letter j at position s of a word, the tableaux are the
+    standard ones, and each word is cut into rank slots of every
+    lengths adding up to the degree."""
+    shape = [p for p in weight if p]
+    d = sum(shape)
+    sym = spec.hopf.kind == SYM
+    tableaux = semistandard_tableaux(shape, spec.rank) if sym else standard_tableaux(shape)
+    cuts = [lengths for lengths in product(range(d + 1), repeat=spec.rank) if sum(lengths) == d]
+    vectors = []
+    for cut in [None] if sym else cuts:
+        for tableau in tableaux:
+            terms = [((), 1)]
+            for c in range(len(tableau[0]) if tableau else 0):
+                column = [row[c] for row in tableau if len(row) > c]
+                terms = [
+                    (placed + tuple(zip(column, perm)), sign * _perm_sign(perm))
+                    for placed, sign in terms
+                    for perm in permutations(range(len(column)))
+                ]
+            vector: dict = {}
+            for placed, sign in terms:
+                if sym:
+                    t = tuple(tuple(sorted(j for s, j in placed if s == slot))
+                              for slot in range(spec.rank))
+                else:
+                    word = tuple(j for _, j in sorted(placed))
+                    ends = [sum(cut[:k + 1]) for k in range(len(cut))]
+                    t = tuple(word[end - length:end] for end, length in zip(ends, cut))
+                add_into(vector, t, sign)
+            vectors.append(vector)
+    return vectors
+
+
+def _perm_sign(perm) -> int:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def unprojected_hw_rows(spec, weight):
+    """The rows of the HW block at weight over the block's tuples: the
+    image of every vector of hw_vectors() under every relation of the
+    block, the conjugation defect first over the tensor algebra, in that
+    order, zero rows dropped."""
+    H = spec.hopf
+    sym = H.kind == SYM
+    parity = ("odd" if sum(weight) % 2 else "even") if sym else "none"
+    key = (spec.functor, spec.rank)
+    exprs = presentations.RELATIONS.get(key + (parity,)) or presentations.RELATIONS[key + ("none",)]
+    if not sym:
+        exprs = (_CONJUGATION_DEFECT,) + exprs
+    rows = []
+    for vector in hw_vectors(spec, weight):
+        for expr in exprs:
+            row: dict = {}
+            for t, c in vector.items():
+                for u, v in tensorspace.apply_expr(H, expr, t).items():
+                    add_into(row, u, c * v)
+            if row:
+                rows.append(row)
     return rows
 
 

@@ -207,7 +207,7 @@ class TestBounds:
 class TestFailedReconstruction:
     def test_inconsistent_blocks_exit_one(self, monkeypatch, capsys):
         def inconsistent(*a, **k):
-            raise InconsistentBlockTableError("negative multiplicity", {(2,): -1})
+            raise InconsistentBlockTableError("reconstruction mismatch", {(2,): -1})
 
         monkeypatch.setattr(cli, "decompose", inconsistent)
         code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
@@ -216,7 +216,7 @@ class TestFailedReconstruction:
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
-        assert err.startswith("error: negative multiplicity")
+        assert err.startswith("error: reconstruction mismatch")
         assert err.count("\n") == 1
 
 

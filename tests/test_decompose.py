@@ -20,8 +20,7 @@ from hopfquotients.decompose import (
     weight_orbit_size,
 )
 from hopfquotients import presentations
-from hopfquotients.presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec
-from hopfquotients.tensorspace import basis_size
+from hopfquotients.presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec, block_cols
 
 
 def spec(functor, rank, kind):
@@ -148,9 +147,13 @@ class TestDecompositionShape:
     def test_pool_results_reach_the_parent_cache(self, monkeypatch, clean_cache):
         s = spec(H_FUNCTOR, 2, TENSOR)
         first = decompose(s, 4, jobs=2)
-        sign = replace(first.spec, hopf=replace(first.spec.hopf, odd=True))
-        assert presentations.in_memory(sign, (4, 0, 0, 0))
-        assert presentations.in_memory(sign, (3, 1, 0, 0))
+        hw = replace(first.spec, highest_weight=True)
+        odd = replace(hw, hopf=replace(hw.hopf, odd=True))
+        # (1, 1, 1, 1) and (2, 1, 1) come from the odd HW blocks at their
+        # conjugates
+        for block in [(hw, (4, 0, 0, 0)), (hw, (3, 1, 0, 0)), (hw, (2, 2, 0, 0)),
+                      (odd, (4, 0, 0, 0)), (odd, (3, 1, 0, 0))]:
+            assert presentations.in_memory(*block), block
 
         def boom(*a, **k):
             raise AssertionError("should have come from the memory cache")
@@ -188,13 +191,18 @@ class TestDecompositionShape:
         presentations._MEM_CACHE.clear()
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         pooled = decompose(s, 5, jobs=2)
-        sizes = [basis_size(bspec.hopf, bspec.rank, weight) for bspec, weight, _ in handed]
+        sizes = [block_cols(bspec, weight) for bspec, weight, _ in handed]
         assert len(sizes) > 2 and sizes == sorted(sizes, reverse=True)
         # one block at a time, so no worker takes a run of the largest
         assert chunksizes and set(chunksizes) == {1}
         assert any(bspec.hopf.odd for bspec, _, _ in handed)
         assert pooled.entries == serial.entries
         assert pooled.weight_dims == serial.weight_dims
+        # degree 1 has a single HW block: no pool
+        handed.clear()
+        presentations._MEM_CACHE.clear()
+        decompose(s, 1, jobs=2)
+        assert handed == []
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):
@@ -207,8 +215,8 @@ class TestDecompositionShape:
 
 def ordinary_multiplicities(s, degree, m=None):
     """Back substitution over every ordinary weight block in m variables
-    (default: the degree), the multilinear one included: the one-ended
-    solve, written out independently."""
+    (default: the degree), the multilinear one included: the Kostka
+    solve, independent of the HW blocks."""
     if m is None:
         m = max(degree, 1)
     wspec = s.with_num_vars(m)
@@ -223,6 +231,10 @@ def ordinary_multiplicities(s, degree, m=None):
 
 
 class TestTwoEndedSolve:
+    """Tensor cells take HW blocks from both ends of dominance: at lam,
+    or at lam' over odd generators, and check blocks at both ends: the
+    ordinary and the sign block at (d - 1, 1)."""
+
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
     @pytest.mark.parametrize("rank, degree", [(2, d) for d in range(6)] + [(3, d) for d in range(5)])
     def test_sign_blocks_match_the_ordinary_path(self, functor, rank, degree):
@@ -248,34 +260,34 @@ class TestTwoEndedSolve:
 
     @staticmethod
     def doctor(monkeypatch, delta):
-        """Shift the rank of the sign block at (3, 1) by delta.  H rank 2
-        degree 4 has only (3, 1), so that block, which yields the
-        multiplicity of (2, 1, 1), has dimension 0, and the boundary
-        block is the sign block at (2, 2)."""
+        """Shift the rank of the odd HW block at (4) by delta.  It gives
+        the multiplicity of (1, 1, 1, 1), which is 0 at rank 2 degree 4;
+        of the check blocks, only the sign block at (3, 1) sees it."""
         real = presentations.compute_block
 
         def doctored(s, weight):
             result = real(s, weight)
-            if s.hopf.odd and weight == (3, 1, 0, 0):
+            if s.highest_weight and s.hopf.odd and weight == (4, 0, 0, 0):
                 result = replace(result, rank=result.rank + delta)
             return result
 
         monkeypatch.setattr(presentations, "compute_block", doctored)
 
-    @pytest.mark.parametrize("delta, message", [(-1, "boundary block"), (1, "negative multiplicity")])
-    def test_doctored_sign_block_rejected(self, monkeypatch, clean_cache, delta, message):
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_doctored_odd_hw_block_rejected(self, monkeypatch, clean_cache, functor, delta):
         self.doctor(monkeypatch, delta)
-        with pytest.raises(InconsistentBlockTableError, match=message):
-            decompose(spec(H_FUNCTOR, 2, TENSOR), 4)
+        with pytest.raises(InconsistentBlockTableError, match="check block .*odd"):
+            decompose(spec(functor, 2, TENSOR), 4)
 
-    def test_doctored_sign_block_exits_one(self, monkeypatch, capsys, clean_cache):
+    def test_doctored_odd_hw_block_exits_one(self, monkeypatch, capsys, clean_cache):
         self.doctor(monkeypatch, -1)
         code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "tensor",
                          "--degree", "4"])
         out, err = capsys.readouterr()
         assert code == 1
         assert out == ""
-        assert err.startswith("error: boundary block") and "Traceback" not in err
+        assert err.startswith("error: check block") and "Traceback" not in err
         assert err.count("\n") == 1
 
 

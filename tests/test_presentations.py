@@ -2,12 +2,21 @@ import hashlib
 import json
 import os
 from contextlib import nullcontext
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
-from reference_ops import bar_rows, general_reading, reversed_reading, sign_block_rows, sign_fold
+from reference_ops import (
+    bar_rows,
+    general_reading,
+    hw_vectors,
+    reversed_reading,
+    sign_block_rows,
+    sign_fold,
+    unprojected_hw_rows,
+)
 from hopfquotients.combinatorics import cusp_dim, partitions_of, weyl_dim
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -21,6 +30,7 @@ from hopfquotients.presentations import (
     compute_block,
     relation_rows,
     semistandard_tableaux,
+    standard_tableaux,
 )
 
 
@@ -77,11 +87,11 @@ class TestFunctorSpec:
         }
         assert len(keys) == 24
 
-    def test_highest_weight_blocks_only_over_sym(self):
+    def test_highest_weight_keys(self):
         assert spec(H_FUNCTOR, 2, SYM, 2, hw=True).key() == "H|2|sym|2|hw"
+        assert spec(H_FUNCTOR, 2, TENSOR, 2, hw=True).key() == "H|2|tensor|2|hw"
+        assert spec(H_FUNCTOR, 2, TENSOR, 2, odd=True, hw=True).key() == "H|2|tensor|2|odd|hw"
         assert spec(H_FUNCTOR, 2, SYM, 2, hw=True).with_num_vars(3).highest_weight
-        with pytest.raises(ValueError):
-            spec(H_FUNCTOR, 2, TENSOR, 2, hw=True)
 
 
 class TestRankOne:
@@ -166,27 +176,64 @@ def padded_partitions(max_degree, m):
             yield tuple(lam) + (0,) * (m - len(lam))
 
 
-class TestHighestWeightBlocks:
-    """The HW block at lam has the standard bideterminants of shape lam
-    as its basis; the tests check that they are highest-weight vectors
-    of weight lam with distinct diagonal leading monomials, as many as
-    weyl_dim(lam, n), so a basis of the HW space."""
+def hw_blocks(functor):
+    """Every HW block of Sym ranks 1-3 to degree 6, and of the tensor
+    algebra at rank 2 to degree 5 and rank 3 to degree 4, over even and
+    odd generators."""
+    for rank in (1, 2, 3):
+        for weight in padded_partitions(6, rank):
+            yield spec(functor, rank, SYM, rank, hw=True), weight
+    for rank, max_degree in ((2, 5), (3, 4)):
+        for weight in weights(max_degree):
+            for odd in (False, True):
+                yield spec(functor, rank, TENSOR, len(weight), odd=odd, hw=True), weight
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_bideterminants_are_highest_weight_vectors(self, n):
-        m = 3
-        for weight in padded_partitions(6, m):
+
+def lead_key(s, t):
+    """The order the bideterminants lead in: lexicographic in the
+    exponents of x_{0,0}, x_{0,1}, ...  Over the tensor algebra a larger
+    monomial is a smaller word; cuts come first, as their tuples are
+    apart."""
+    if s.hopf.kind == SYM:
+        return tuple(word.count(j) for word in t for j in range(s.hopf.num_vars))
+    return tuple(map(len, t)), tuple(-x for word in t for x in word)
+
+
+class TestHighestWeightBlocks:
+    """The HW block at lam has the bideterminants of shape lam as its
+    basis: over sym with the n slots as rows of the minors, over the
+    tensor algebra with the d letter positions, one word cut every way
+    into n slots.  The tests check that they are highest-weight vectors
+    of weight lam with distinct diagonal leading monomials, as many as
+    the block's columns, so a basis of the HW space."""
+
+    @pytest.mark.parametrize("kind, n", [(SYM, 1), (SYM, 2), (SYM, 3), (TENSOR, 2), (TENSOR, 3)],
+                             ids=["1", "2", "3", "tensor-2", "tensor-3"])
+    def test_bideterminants_are_highest_weight_vectors(self, kind, n):
+        for weight in padded_partitions(6, 3) if kind == SYM else weights(5):
+            m = len(weight)
             lam = [p for p in weight if p]
-            tableaux = semistandard_tableaux(lam, n)
-            assert len(tableaux) == weyl_dim(lam, n) == block_cols(
-                spec(H_FUNCTOR, n, SYM, m, hw=True), weight)
+            if kind == SYM:
+                slots, tableaux = n, semistandard_tableaux(lam, n)
+                assert len(tableaux) == weyl_dim(lam, n)
+                cuts = 1
+            else:
+                slots, tableaux = sum(lam), standard_tableaux(lam)
+                assert len(set(tableaux)) == len(tableaux)
+                for tableau in tableaux:
+                    assert sorted(sum(tableau, ())) == list(range(slots))
+                    assert all(list(row) == sorted(row) for row in tableau)
+                    assert all(a < b for upper, lower in zip(tableau, tableau[1:])
+                               for a, b in zip(upper, lower))
+                cuts = comb(slots + n - 1, n - 1)
+            assert cuts * len(tableaux) == block_cols(spec(H_FUNCTOR, n, kind, m, hw=True), weight)
             # the packing _highest_weight_rows uses: x_{0,0} in the highest bits
             bits = max(sum(weight), 1).bit_length()
-            offsets = [[(n * m - 1 - s * m - j) * bits for j in range(m)] for s in range(n)]
+            offsets = [[(slots * m - 1 - s * m - j) * bits for j in range(m)] for s in range(slots)]
             leads = set()
             for tableau in tableaux:
                 poly = presentations._bideterminant(tableau, lambda s, j: offsets[s][j])
-                # each monomial as its n x m exponent matrix
+                # each monomial as its slots x m exponent matrix
                 terms = {tuple(tuple((key >> at) % (1 << bits) for at in row) for row in offsets): c
                          for key, c in poly.items()}
                 for e in terms:
@@ -195,7 +242,7 @@ class TestHighestWeightBlocks:
                 for j in range(m - 1):
                     raised = {}
                     for e, c in terms.items():
-                        for s in range(n):
+                        for s in range(slots):
                             if e[s][j + 1]:
                                 row = list(e[s])
                                 row[j] += 1
@@ -206,10 +253,29 @@ class TestHighestWeightBlocks:
                 # the leading monomial is the diagonal: slot s row r counts
                 # the s in row r of the tableau, with coefficient 1
                 diagonal = tuple(tuple(row.count(s) for row in tableau) + (0,) * (m - len(tableau))
-                                 for s in range(n))
+                                 for s in range(slots))
                 assert terms[max(terms)] == 1 and max(terms) == diagonal
                 leads.add(diagonal)
             assert len(leads) == len(tableaux)
+
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    def test_projection_keeps_the_rank(self, functor):
+        """The kept columns are the leading tuples of the basis, on which
+        the basis is unitriangular in lead order, and the projected rows
+        have the rank of the rows over all of the block's tuples."""
+        for s, weight in hw_blocks(functor):
+            basis, _ = relation_rows(s, weight)
+            vectors = hw_vectors(s, weight)
+            by_lead = {max(vector, key=lambda t: lead_key(s, t)): vector for vector in vectors}
+            assert len(by_lead) == len(vectors) and sorted(by_lead) == sorted(basis), (s.key(), weight)
+            leads = sorted(by_lead, key=lambda t: lead_key(s, t), reverse=True)
+            for i, lead in enumerate(leads):
+                restricted = [by_lead[lead].get(other, 0) for other in leads]
+                assert restricted[i] == 1 and not any(restricted[:i]), (s.key(), weight, lead)
+            full = unprojected_hw_rows(s, weight)
+            index = {t: i for i, t in enumerate({t for row in full for t in row})}
+            expected = exactla.rank_sparse([{index[t]: c for t, c in row.items()} for row in full])
+            assert compute_block(s, weight).rank == expected, (s.key(), weight)
 
     def test_rows_and_ambient(self):
         s = spec(OMEGA_FUNCTOR, 3, SYM, 3, hw=True)
@@ -263,6 +329,26 @@ _HW_MANGLES = {
 class TestCaching:
     def setup_method(self):
         presentations._MEM_CACHE.clear()
+
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    def test_block_cols_counts_the_basis(self, functor):
+        # _read_record checks a record's ambient_dim against block_cols
+        for s, weight in hw_blocks(functor):
+            assert block_cols(s, weight) == len(relation_rows(s, weight)[0]), (s.key(), weight)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_tensor_hw_record_reads_back(self, tmp_path, odd):
+        s, weight = spec(OMEGA_FUNCTOR, 2, TENSOR, 4, odd=odd, hw=True), (2, 1, 1, 0)
+        first = block_result(s, weight, cache_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        assert presentations._read_record(path, s, weight) == first
+        # consistent in itself, but not the block's column count
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "ambient_dim": record["ambient_dim"] + 1,
+                                    "quotient_dim": record["quotient_dim"] + 1}))
+        assert presentations._read_record(path, s, weight) is None
+        presentations._MEM_CACHE.clear()
+        assert block_result(s, weight, cache_dir=str(tmp_path)) == first
 
     def test_disk_roundtrip(self, tmp_path, monkeypatch):
         s = spec(H_FUNCTOR, 2, SYM, 2)

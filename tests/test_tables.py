@@ -191,7 +191,7 @@ class TestNewTensorCells:
             assert one_row == dict(decomposition_to_pairs(sym_value)).get((degree,), 0), entry
 
     def test_omega_rank3_degree6_recomputes(self, cells):
-        # its down-set is solved from sign blocks
+        # its down-set comes from HW blocks over odd generators
         report = verify_against(cells, functor="Omega", rank=3, max_degree=6)
         assert report["checked"] == report["matches"] == 1
         assert report["mismatches"] == [] and report["new"] == []
