@@ -10,8 +10,8 @@ Exit codes: 0 success; 1 verification mismatch, bound violation, or
 a cell whose check blocks disagree with the multiplicities of its
 highest-weight blocks, or that fails the Weyl reconstruction identity
 (which only faulty Kostka, Weyl-dimension or orbit counts can fail);
-2 bad usage (--jobs below 1 included), unreadable input or an unusable
---cache-dir.
+2 bad usage (--jobs below 1 and a negative --max-degree included),
+unreadable input or an unusable --cache-dir.
 """
 
 from __future__ import annotations
@@ -91,19 +91,24 @@ def cmd_bounds(args) -> int:
     return 0 if report.ok else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--cache-dir", default=None, help="directory for cached block results")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallel workers for weight blocks")
 
 
@@ -121,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="diff recomputed values against the expected tables")
     verify.add_argument("--against", default=None, help="path to an expected-table JSON file")
-    verify.add_argument("--max-degree", type=int, default=None)
+    verify.add_argument("--max-degree", type=_int_at_least(0), default=None)
     verify.add_argument("--functor", choices=["H", "Omega"], default=None)
     verify.add_argument("--rank", type=int, choices=[2, 3], default=None)
     verify.add_argument("--hopf", choices=["sym", "tensor"], default=None)

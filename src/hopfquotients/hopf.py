@@ -17,6 +17,14 @@ the Koszul sign (-1)^r, and the antipode carries (-1)^(k + k(k-1)/2).
 Its weight blocks are the sign blocks of the even algebra (super
 Schur-Weyl duality).
 
+The transpose of the coproduct under the pairing in which the words are
+orthonormal sends left (x) right to the sum over elements a of the
+coefficient of left (x) right in the coproduct of a, times a.  Over the
+tensor algebra this is the shuffle product, with the same Koszul sign
+on odd generators; over sym it is the single monomial a = left * right
+with coefficient prod_v C(a_v, left_v), the choices of which copies of
+each letter v go left.
+
 All structure constants are integers, so vectors are dicts mapping
 basis elements to ints (callers who need rationals can wrap them in
 Fraction; nothing here ever divides).
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 SYM = "sym"
 TENSOR = "tensor"
@@ -55,6 +64,32 @@ def _word_coproduct(word, odd):
             add_into(nxt, (left + (letter,), rest), -c if odd and len(rest) % 2 else c)
         terms = nxt
     return tuple((a, b, c) for (a, b), c in terms.items())
+
+
+@lru_cache(maxsize=None)
+def _coproduct_transpose(left, right, sym, odd):
+    """HopfAlgebra.coproduct_transpose of two nonempty words.  Over the
+    tensor algebra the shuffle terms (word, coeff) are built letter by
+    letter with equal states merged and cancelled ones dropped: the
+    transpose of _word_coproduct, whose sign a letter of left takes when
+    it follows r letters of right."""
+    if sym:
+        elem = tuple(sorted(left + right))
+        coeff = 1
+        for v in set(left):
+            coeff *= comb(elem.count(v), left.count(v))
+        return ((elem, coeff),)
+    terms = {((), 0): 1}
+    for _ in range(len(left) + len(right)):
+        nxt: dict = {}
+        for (word, i), c in terms.items():
+            j = len(word) - i
+            if i < len(left):
+                add_into(nxt, (word + left[i : i + 1], i + 1), -c if odd and j % 2 else c)
+            if j < len(right):
+                add_into(nxt, (word + right[j : j + 1], i), c)
+        terms = nxt
+    return tuple((word, c) for (word, _), c in terms.items())
 
 
 @dataclass(frozen=True)
@@ -92,6 +127,20 @@ class HopfAlgebra:
         """List of (left, right, coeff) triples with sum of coeff *
         left (x) right equal to the coproduct of x."""
         return _word_coproduct(x, self.odd)
+
+    def coproduct_transpose(self, left, right):
+        """List of (elem, coeff) pairs, each elem once, where coeff is the
+        coefficient of left (x) right in the coproduct of elem."""
+        if not left or not right:
+            return ((left + right, 1),)
+        return _coproduct_transpose(left, right, self.kind == SYM, self.odd)
+
+    def factorizations(self, x):
+        """List of (left, right) pairs with product(left, right) == x,
+        each once: the prefixes of a word, the submonomials over sym."""
+        if self.kind == SYM:
+            return [(left, right) for left, right, _ in _word_coproduct(x, False)]
+        return [(x[:k], x[k:]) for k in range(len(x) + 1)]
 
     def antipode(self, x):
         """The antipode of a basis element, as a (sign, element) pair."""

@@ -14,7 +14,8 @@ algebra first imposes the conjugation defect, the one-word relation
 (('ad',),), so every quotient is really a quotient of the reduced tensor
 power; over Sym, whose product commutes, the defect is zero and is
 skipped.  For the tensor algebra RELATIONS also carries the commutators
-of rank 1.  So every row is the image of one relation on one basis tuple.
+of rank 1.  So every row of a weight block is the image of one relation
+on one basis tuple.
 
 Over the tensor algebra with odd generators, HopfAlgebra(TENSOR, m,
 odd=True), the slot operators carry Koszul signs (see hopf and
@@ -49,11 +50,20 @@ Under lexicographic order of the exponents of x_{0,0}, x_{0,1}, ...,
 each bideterminant leads with its diagonal monomial, with coefficient
 1, which records the row of every entry of T, so the leading monomials
 are distinct.  relation_rows asserts that per block.  The rows are the
-relations' images of the basis, summed from the images of the tuples in
-its support, each applied once, and projected onto the columns at the
+relations' images of the basis projected onto the columns at the
 basis's leading tuples.  On the HW space this projection is
 unitriangular in lead order, so it keeps every rank, and a block has as
 many columns as basis vectors.
+
+Every block builds its rows from its columns.  The entry of the row of
+relation R and vector v at column u is <R v, u>, in the pairing in
+which the block's tuples are orthonormal, and <R t, u> = <t, R* u> for
+the adjoint R* of tensorspace.  So each column tuple u is applied once
+per relation, through R*, and each tuple t of that image adds into the
+rows of the vectors whose support holds t.  The vectors of a weight
+block are its basis tuples themselves.  An HW block so costs its
+columns, not its support, times its relations, and no image term
+outside the kept columns is built.
 """
 
 from __future__ import annotations
@@ -68,8 +78,8 @@ from math import comb
 
 from .combinatorics import kostka, weyl_dim
 from .exactla import rank_distinct
-from .hopf import SYM, HopfAlgebra
-from .tensorspace import apply_expr, basis_size, block_index, tensor_basis
+from .hopf import SYM, HopfAlgebra, _coproduct_transpose
+from .tensorspace import adjoint, apply_expr, basis_size, tensor_basis
 from .version import engine_version
 
 H_FUNCTOR = "H"
@@ -211,13 +221,16 @@ class FunctorSpec:
 def relation_rows(spec: FunctorSpec, weight):
     """Materialize the relation rows for one block.
 
-    For a weight block, returns (basis, rows) where rows are integer
-    dict-vectors over column indices into basis, each packed as soon as
-    it is generated: the nonzero images of the conjugation defect on
-    every basis tuple (none over sym, where it is zero), then, basis
-    tuple by basis tuple, those of the block's relations.  For a
+    Returns (basis, rows) where rows are integer dict-vectors over column
+    indices into basis.  For a weight block the vectors are the basis
+    tuples, and the rows are the nonzero images of the conjugation
+    defect on every basis tuple (none over sym, where it is zero), then,
+    basis tuple by basis tuple, those of the block's relations.  For a
     highest-weight block, basis holds the leading tuples of its
-    bideterminants, and the rows are those of _highest_weight_rows.
+    bideterminants, the vectors (see _highest_weight_basis), and the
+    rows are, vector by vector, the nonzero images under the defect and
+    the relations projected onto those tuples.  Both are built by
+    _block_rows, one column at a time.
     """
     H = spec.hopf
     weight = tuple(weight)
@@ -226,18 +239,48 @@ def relation_rows(spec: FunctorSpec, weight):
     exprs = RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
     groups = (exprs,) if H.commutative else ((_CONJUGATION_DEFECT,), exprs)
     if spec.highest_weight:
-        return _highest_weight_rows(H, spec.rank, weight, sum(groups, ()))
+        basis, support = _highest_weight_basis(H, spec.rank, weight)
+        return basis, _block_rows(H, (sum(groups, ()),), basis, support)
     # odd generators have the same basis: share the even block's cache entry
     basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
-    index = block_index(basis)
+    support = {t: ((i, 1),) for i, t in enumerate(basis)}
+    return basis, _block_rows(H, groups, basis, support)
+
+
+def _block_rows(H: HopfAlgebra, groups, basis, support) -> list:
+    """The rows of the block whose columns are the tuples of basis, and
+    whose vector i, one per column, is the sum over t of x * t for the
+    (i, x) in support[t].
+
+    Row (i, R) holds at column u the coefficient of u in R applied to
+    vector i, the sum over t of x * <R t, u>.  The adjoint gives <R t,
+    u> for every t at once from u, as apply_expr(H, adjoint(R), u)[t],
+    so each column is applied once per relation and its entries are
+    added into the rows of every vector whose support holds t.  The rows
+    come group by group, vector by vector and relation by relation, as
+    dict-vectors over column indices, zero rows dropped."""
+    # per relation, its adjoint and its row sums, one per vector
+    sums = [[(adjoint(expr), [{} for _ in basis]) for expr in group] for group in groups]
+    for col, u in enumerate(basis):
+        for group in sums:
+            for expr, expr_rows in group:
+                for t, v in apply_expr(H, expr, u).items():
+                    for i, x in support.get(t, ()):
+                        row = expr_rows[i]
+                        row[col] = row.get(col, 0) + x * v
+    # memoized transposes live for one block, so the cache never grows
+    # with the length of a run
+    _coproduct_transpose.cache_clear()
     rows = []
-    for group in groups:
-        for t in basis:
-            for expr in group:
-                row = apply_expr(H, expr, t)
+    for group in sums:
+        for i in range(len(basis)):
+            for _, expr_rows in group:
+                row = expr_rows[i]
+                if 0 in row.values():
+                    row = {col: v for col, v in row.items() if v}
                 if row:
-                    rows.append({index[u]: c for u, c in row.items()})
-    return basis, rows
+                    rows.append(row)
+    return rows
 
 
 def semistandard_tableaux(shape, n: int) -> list:
@@ -289,8 +332,8 @@ def standard_tableaux(shape) -> list:
     return tableaux
 
 
-def _highest_weight_rows(H: HopfAlgebra, n: int, weight: tuple, exprs):
-    """The HW block at the partition weight of H^(x)n under exprs.
+def _highest_weight_basis(H: HopfAlgebra, n: int, weight: tuple):
+    """The basis of the HW block at the partition weight of H^(x)n.
 
     Over sym its vectors are the bideterminants of the semistandard
     tableaux of shape weight with entries 0..n-1, the slots.  Over the
@@ -299,11 +342,9 @@ def _highest_weight_rows(H: HopfAlgebra, n: int, weight: tuple, exprs):
     word whose letter p is the j of its x_{p, j}, and cut every way into
     n words, so there is one vector per cut and tableau, cut by cut.
 
-    Returns (basis, rows): basis holds the vectors' leading tuples, and
-    the rows are, vector by vector, the nonzero images under exprs
-    projected onto those tuples, as dict-vectors over indices into
-    basis.  Each is summed from the images of the tuples in its vector's
-    support, each tuple applied once per expression.  Raises
+    Returns (basis, support): basis holds the vectors' leading tuples, in
+    vector order, and support maps each block tuple to the (vector,
+    coefficient) pairs of the vectors that hold it.  Raises
     AssertionError when two vectors share their leading tuple, so that
     neither their independence nor the projection's rank is certified."""
     if list(weight) != sorted(weight, reverse=True):
@@ -323,11 +364,13 @@ def _highest_weight_rows(H: HopfAlgebra, n: int, weight: tuple, exprs):
         # x_{0,0} in the highest bits, so integer order is lex order
         return (slots * m - 1 - s * m - j) * bits
 
+    offsets = [[shift(s, j) for j in range(m)] for s in range(slots)]
+
     def tuples(monomial):
         """The block tuples of a monomial, one per cut."""
         words = tuple(
-            tuple(j for j in range(m) for _ in range((monomial >> shift(s, j)) & mask))
-            for s in range(slots)
+            sum(((j,) * ((monomial >> at) & mask) for j, at in enumerate(row)), ())
+            for row in offsets
         )
         if H.kind == SYM:
             return (words,)
@@ -338,32 +381,19 @@ def _highest_weight_rows(H: HopfAlgebra, n: int, weight: tuple, exprs):
     # vector i in cut c is basis vector c * len(vectors) + i
     leads = [tuples(max(vector)) for vector in vectors]
     basis = tuple(lead[c] for c in range(len(cuts)) for lead in leads)
-    index = {t: b for b, t in enumerate(basis)}
-    if len(index) != len(basis):
+    if len(set(basis)) != len(basis):
         raise AssertionError(f"bideterminants at {weight} share a leading monomial")
     # monomial -> its coefficient in each bideterminant that has it
     uses: dict = {}
     for i, vector in enumerate(vectors):
         for monomial, x in vector.items():
             uses.setdefault(monomial, []).append((i, x))
-    sums = [[{} for _ in exprs] for _ in basis]
+    support = {}
     for monomial, coeffs in uses.items():
         for c, t in enumerate(tuples(monomial)):
             first = c * len(vectors)
-            for k, expr in enumerate(exprs):
-                for u, v in apply_expr(H, expr, t).items():
-                    col = index.get(u)
-                    if col is not None:
-                        for i, x in coeffs:
-                            row = sums[first + i][k]
-                            row[col] = row.get(col, 0) + x * v
-    rows = []
-    for vector_sums in sums:
-        for row in vector_sums:
-            row = {col: v for col, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return basis, rows
+            support[t] = [(first + i, x) for i, x in coeffs]
+    return basis, support
 
 
 @dataclass

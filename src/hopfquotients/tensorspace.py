@@ -12,6 +12,8 @@ combinations of composable atoms:
     ('ad',)          take the leading letter v off slot 0, leaving r; sum
                      over slots i of r with v * r_i in slot i, minus r
                      with r_i * v in slot i
+    ('E*',), ('F*',), ('ad*',)
+                     the adjoints of E, F and ad (see below)
 
 E and F act on slots 0 and 1 of a tuple of any length; later slots
 pass through unchanged.  ad is the conjugation defect: each block
@@ -32,8 +34,24 @@ An operator word is a tuple of atoms, applied to a vector left to
 right: the word (u, v) means "apply u, then v".  This is the reading
 under which the presentations reproduce the published tables.
 
+Each atom has an adjoint under the pairing in which the basis tuples
+are orthonormal; swap, S and U are their own.  E* writes slot 1 every
+way as a product p * b, and sends slot 0 (x) p through the transpose
+of the coproduct (HopfAlgebra.coproduct_transpose: the shuffle product
+over the tensor algebra, with the coproduct's Koszul sign on odd
+generators; over sym the product, weighted by binomials) into slot 0,
+with b in slot 1.  F* writes slot 0 as a * p and sends p (x) slot 1
+into slot 1, with a in slot 0.  ad* writes each slot i as v * w and as
+w * v, and puts v in front of slot 0 of the tuple with w in slot i,
+with the sign ad gives that term.  adjoint(expr) reverses each word and
+stars its atoms, so apply_expr(H, adjoint(expr), u) holds at each t
+the coefficient of u in apply_expr(H, expr, t).
+
 apply_expr is the entry point: it applies a formal sum of words to one
-basis tuple and sums the resulting terms once per expression.
+basis tuple and sums the resulting terms once per expression.  The
+engine applies adjoints only, to build each relation row from its
+columns (see presentations); the forward E, F and ad are the reference
+the tests check them against.
 """
 
 from __future__ import annotations
@@ -75,10 +93,6 @@ def basis_size(H: HopfAlgebra, n: int, weight) -> int:
     return comb(d + n - 1, n - 1) * factorial(d) // prod(factorial(w) for w in weight)
 
 
-def block_index(basis) -> dict:
-    return {t: i for i, t in enumerate(basis)}
-
-
 def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
     """Apply one atom to a basis tuple; returns a vector over tuples."""
     kind = atom[0]
@@ -99,6 +113,38 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         return {tuple(lst): sign}
     if kind == "U":
         return {t: 1} if H.degree(t[atom[1]]) == 0 else {}
+    if kind == "E*":
+        x, y, rest = t[0], t[1], t[2:]
+        return {
+            (a, b) + rest: coeff
+            for p, b in H.factorizations(y)
+            for a, coeff in H.coproduct_transpose(x, p)
+        }
+    if kind == "F*":
+        x, y, rest = t[0], t[1], t[2:]
+        return {
+            (a, b) + rest: coeff
+            for a, p in H.factorizations(x)
+            for b, coeff in H.coproduct_transpose(p, y)
+        }
+    if kind == "ad*":
+        # ad is zero over a commutative algebra
+        if H.commutative:
+            return {}
+        out: dict = {}
+        sign = 1
+        for i, elem in enumerate(t):
+            flip = -1 if H.odd and len(elem) % 2 else 1
+            if elem:
+                # slot i is v * w or w * v: ad takes (v * r_0,) + r[1:] to
+                # t, where r is t with w in slot i, the second with the
+                # sign -(-1)^|w| of r_i * v
+                right = sign if H.odd and len(elem) % 2 == 0 else -sign
+                for gen, w, c in ((elem[:1], elem[1:], sign), (elem[-1:], elem[:-1], right)):
+                    r = t[:i] + (w,) + t[i + 1 :]
+                    add_into(out, (gen + r[0],) + r[1:], c)
+            sign *= flip
+        return out
     if kind == "E":
         a, b, rest = t[0], t[1], t[2:]
         return {(a1, H.product(a2, b)) + rest: coeff for a1, a2, coeff in H.coproduct(a)}
@@ -109,7 +155,7 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         if H.degree(t[0]) == 0:
             return {}
         gen, r = t[0][:1], (t[0][1:],) + t[1:]
-        out: dict = {}
+        out = {}
         sign = 1
         for i, elem in enumerate(r):
             # the Koszul sign of moving v past elem
@@ -119,6 +165,20 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
             sign *= flip
         return out
     raise ValueError(f"unknown atom {atom!r}")
+
+
+_STARRED = {"E": "E*", "F": "F*", "ad": "ad*", "E*": "E", "F*": "F", "ad*": "ad"}
+
+
+def adjoint(expr) -> tuple:
+    """The adjoint of a formal sum of words under the pairing in which the
+    basis tuples are orthonormal: each word reversed and its atoms
+    starred, swap, S and U being their own adjoints.  So
+    apply_expr(H, adjoint(expr), u)[t] == apply_expr(H, expr, t)[u]."""
+    return tuple(
+        (coeff, tuple((_STARRED.get(atom[0], atom[0]),) + atom[1:] for atom in reversed(word)))
+        for coeff, word in expr
+    )
 
 
 def apply_expr(H: HopfAlgebra, expr, t: tuple) -> dict:

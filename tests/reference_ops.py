@@ -19,7 +19,10 @@ builds the same block as a weight block over odd generators.
 hw_vectors() writes out the basis of a highest-weight (HW) block from
 its tableaux, column minor by column minor, and unprojected_hw_rows()
 applies the block's relations to it over the block's own tuples: the
-HW rows before the engine projects them onto the leading tuples.
+HW rows over every tuple, not only the leading ones the engine keeps.
+forward_rows() builds the engine's rows by applying each relation to
+each vector, where the engine builds them column by column through
+the adjoints.
 
 general_reading() makes Sym blocks of the finer rank-3 quotient use
 the general presentation RANK3_H_EXPRS, which the engine uses only over
@@ -223,8 +226,7 @@ def sign_block_rows(spec, weight):
     standardize, fold = sign_fold(weight)
     basis = tensorspace.tensor_basis(H, spec.rank, tuple(weight))
     rows = []
-    exprs = presentations.RELATIONS[(spec.functor, spec.rank, "none")]
-    for group in ((_CONJUGATION_DEFECT,), exprs):
+    for group in _groups(spec, weight):
         for t in basis:
             seed = standardize(t)
             for expr in group:
@@ -278,18 +280,24 @@ def _perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _groups(spec, weight):
+    """The block's relations as relation_rows groups them: the
+    conjugation defect, over the tensor algebra only, then the entry of
+    RELATIONS for the block's (functor, rank) and, over sym, parity."""
+    sym = spec.hopf.kind == SYM
+    parity = ("odd" if sum(weight) % 2 else "even") if sym else "none"
+    key = (spec.functor, spec.rank)
+    exprs = presentations.RELATIONS.get(key + (parity,)) or presentations.RELATIONS[key + ("none",)]
+    return (exprs,) if sym else ((_CONJUGATION_DEFECT,), exprs)
+
+
 def unprojected_hw_rows(spec, weight):
     """The rows of the HW block at weight over the block's tuples: the
     image of every vector of hw_vectors() under every relation of the
     block, the conjugation defect first over the tensor algebra, in that
     order, zero rows dropped."""
     H = spec.hopf
-    sym = H.kind == SYM
-    parity = ("odd" if sum(weight) % 2 else "even") if sym else "none"
-    key = (spec.functor, spec.rank)
-    exprs = presentations.RELATIONS.get(key + (parity,)) or presentations.RELATIONS[key + ("none",)]
-    if not sym:
-        exprs = (_CONJUGATION_DEFECT,) + exprs
+    exprs = sum(_groups(spec, weight), ())
     rows = []
     for vector in hw_vectors(spec, weight):
         for expr in exprs:
@@ -300,6 +308,22 @@ def unprojected_hw_rows(spec, weight):
             if row:
                 rows.append(row)
     return rows
+
+
+def forward_rows(spec, weight, basis):
+    """relation_rows' rows built forward, as dict-vectors over indices
+    into basis.  A weight block applies each relation to each basis
+    tuple, group by group and tuple by tuple; an HW block takes
+    unprojected_hw_rows() restricted to the leading tuples in basis.
+    Zero rows are dropped."""
+    index = {t: i for i, t in enumerate(basis)}
+    if spec.highest_weight:
+        rows = [{index[t]: c for t, c in row.items() if t in index}
+                for row in unprojected_hw_rows(spec, weight)]
+    else:
+        rows = [{index[u]: c for u, c in tensorspace.apply_expr(spec.hopf, expr, t).items()}
+                for group in _groups(spec, weight) for t in basis for expr in group]
+    return [row for row in rows if row]
 
 
 @contextmanager

@@ -236,6 +236,13 @@ class TestUsageErrors:
                   "--degree", "4")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("degree", ["-1", "-7"])
+    def test_verify_max_degree_below_zero(self, degree):
+        res = run("verify", "--max-degree", degree)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--max-degree" in res.stderr
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, jobs):
         res = run("compute", "--functor", "H", "--rank", "2", "--hopf", "sym",

@@ -10,6 +10,7 @@ import pytest
 from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
 from reference_ops import (
     bar_rows,
+    forward_rows,
     general_reading,
     hw_vectors,
     reversed_reading,
@@ -32,6 +33,7 @@ from hopfquotients.presentations import (
     semistandard_tableaux,
     standard_tableaux,
 )
+from hopfquotients.tensorspace import adjoint
 
 
 def spec(functor, rank, kind, m, odd=False, hw=False):
@@ -518,7 +520,28 @@ class TestConjugationDefectRows:
         monkeypatch.setattr(presentations, "apply_expr",
                             lambda H, expr, t: applied.append(expr) or real(H, expr, t))
         relation_rows(spec(OMEGA_FUNCTOR, 3, kind, 3), (2, 1, 1))
-        assert (presentations._CONJUGATION_DEFECT in applied) == (kind == TENSOR)
+        assert (adjoint(presentations._CONJUGATION_DEFECT) in applied) == (kind == TENSOR)
+
+
+class TestRowsFromColumns:
+    """relation_rows builds each row entry from its column through the
+    adjoint of the relation; the rows equal, in order, those built by
+    applying every relation to every vector, on every weight, sign and
+    HW block of Sym ranks 1-3 to degree 6, and of the tensor algebra at
+    rank 1 to degree 5 and ranks 2-3 to degree 4."""
+
+    @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
+    def test_rows_match_the_forward_rows(self, functor):
+        blocks = [(spec(functor, rank, SYM, rank, hw=hw), weight)
+                  for rank in (1, 2, 3) for weight in padded_partitions(6, rank)
+                  for hw in (False, True)]
+        blocks += [(spec(functor, rank, TENSOR, len(weight), odd=odd, hw=hw), weight)
+                   for rank, max_degree in ((1, 5), (2, 4), (3, 4)) for weight in weights(max_degree)
+                   for odd in (False, True) for hw in (False, True)]
+        assert len(blocks) == 264
+        for s, weight in blocks:
+            basis, rows = relation_rows(s, weight)
+            assert rows == forward_rows(s, weight, basis), (s.key(), weight)
 
 
 class TestSignBlockRows:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product as iproduct
 from math import comb
 
@@ -6,12 +7,12 @@ import pytest
 import reference_ops as ref
 from hopfquotients.exactla import rank_distinct
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
-from hopfquotients.presentations import RELATIONS
+from hopfquotients.presentations import _CONJUGATION_DEFECT, RELATIONS
 from hopfquotients.tensorspace import (
+    adjoint,
     apply_atom,
     apply_expr,
     basis_size,
-    block_index,
     tensor_basis,
 )
 
@@ -87,11 +88,6 @@ class TestTensorBasis:
     def test_weight_length_check(self):
         with pytest.raises(ValueError):
             tensor_basis(SYM2, 2, (1, 1, 1))
-
-    def test_block_index_roundtrip(self):
-        basis = tensor_basis(TEN2, 2, (2, 1))
-        idx = block_index(basis)
-        assert all(basis[i] == t for t, i in idx.items())
 
 
 class TestExplicitActions:
@@ -301,6 +297,54 @@ class TestSlotOperations:
         assert apply_word(SYM2, (), t) == {t: 1}
 
 
+class TestAdjoints:
+    """adjoint(R) is the transpose of R in the basis tuples: the
+    coefficient of u in R t equals that of t in adjoint(R) u, for every
+    atom, every expression of RELATIONS and the conjugation defect, over
+    whole weight blocks.  The forward atoms are the reference."""
+
+    def exprs(self, n):
+        """One-atom words on n slots, then every relation on n slots."""
+        atoms = [("swap", i, j) for i in range(n) for j in range(n) if i != j]
+        atoms += [(kind, i) for kind in ("S", "U") for i in range(n)]
+        atoms += [("E",), ("F",), ("ad",)] if n > 1 else [("ad",)]
+        relations = [expr for (_, rank, _), exprs in RELATIONS.items() if rank == n
+                     for expr in exprs]
+        return [((1, (atom,)),) for atom in atoms] + relations + [_CONJUGATION_DEFECT]
+
+    def assert_transposes(self, H, n, weight):
+        basis = tensor_basis(replace(H, odd=False), n, weight)
+        for expr in self.exprs(n):
+            star = adjoint(expr)
+            assert adjoint(star) == expr
+            forward = {(t, u): c for t in basis for u, c in apply_expr(H, expr, t).items()}
+            backward = {(t, u): c for u in basis for t, c in apply_expr(H, star, u).items()}
+            assert forward == backward, (H, weight, expr)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sym(self, n):
+        for weight in [(3, 2, 0), (2, 1, 1)]:
+            self.assert_transposes(SYM3, n, weight)
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tensor(self, n, odd):
+        for weight in [(2, 1, 1), (3, 1, 0)]:
+            self.assert_transposes(HopfAlgebra(TENSOR, 3, odd), n, weight)
+
+    def test_starred_atoms(self):
+        # over sym E* picks each submonomial p of slot 1 and weighs
+        # x * p by the binomials of the coproduct, not the shuffle count
+        assert apply_atom(SYM2, ("E*",), ((0,), (0, 1))) == {
+            ((0,), (0, 1)): 1, ((0, 0), (1,)): 2, ((0, 1), (0,)): 1, ((0, 0, 1), ()): 2,
+        }
+        # over odd generators F* shuffles the suffix p of slot 0 into
+        # slot 1 with the Koszul sign of the coproduct
+        assert apply_atom(TEN2_ODD, ("F*",), ((0,), (1,))) == {
+            ((0,), (1,)): 1, ((), (0, 1)): 1, ((), (1, 0)): -1,
+        }
+
+
 AD = ((1, (("ad",),)),)
 
 
@@ -362,6 +406,6 @@ class TestBarRows:
         # with its rotations
         for weight in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
             basis = tensor_basis(TEN2, 1, weight)
-            idx = block_index(basis)
+            idx = {t: i for i, t in enumerate(basis)}
             rows = [{idx[u]: c for u, c in apply_expr(TEN2, AD, t).items()} for t in basis]
             assert len(basis) - rank_distinct(rows) == self.necklace_count(weight)
