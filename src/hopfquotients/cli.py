@@ -109,7 +109,8 @@ def _int_at_least(low: int):
 def _add_common(parser) -> None:
     parser.add_argument("--cache-dir", default=None, help="directory for cached block results")
     parser.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="parallel workers for weight blocks")
+                        help="worker processes for the HW and check blocks; one pool "
+                        "serves the whole command")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,6 +32,8 @@ degree for tensor; no partition with more rows can appear.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from math import factorial
 
@@ -111,16 +113,41 @@ def _block_job(args):
     return block_result(spec, weight, cache_dir=cache_dir)
 
 
+# the pool of the outermost open workers() entry in this thread
+_open_pool = ContextVar("open_pool", default=None)
+
+
+@contextmanager
+def workers(jobs):
+    """The process pool that serves every cell computed inside: the
+    outermost entry with jobs > 1 opens a pool of jobs workers and
+    terminates it, which joins them, on the way out; a nested entry gets
+    the open pool, and an entry with jobs = 1 outside any pool gets None.
+    verify_against runs all its cells inside one entry."""
+    pool = _open_pool.get()
+    if pool is not None or jobs < 2:
+        yield pool
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        token = _open_pool.set(pool)
+        try:
+            yield pool
+        finally:
+            _open_pool.reset(token)
+
+
 def _quotient_dims(blocks, jobs, cache_dir) -> dict:
     """Quotient dimension of each (spec, weight) block.  Blocks missing
-    from the memory cache go to a process pool, largest first and one
-    at a time, when there are two or more of them."""
+    from the memory cache go to the pool of workers(jobs), largest first
+    and one at a time, when there are two or more of them: the pool of
+    the enclosing verify_against, else one for this cell alone.  (The
+    benchmark's tensor-jobs2 session starts 2 pools, not one per cell.)"""
     misses = [b for b in blocks if not in_memory(*b)]
     if jobs > 1 and len(misses) > 1:
         misses.sort(key=lambda b: block_cols(*b), reverse=True)
-        with multiprocessing.Pool(jobs) as pool:
+        with workers(jobs) as pool:
             computed = pool.map(_block_job, [(*b, cache_dir) for b in misses], chunksize=1)
-        # a worker's memory cache dies with it; keep its results here
+        # a worker's memory cache is not the parent's; keep its results here
         for block, result in zip(misses, computed):
             remember_block(*block, result)
     return {b: _block_job((*b, cache_dir)).quotient_dim for b in blocks}

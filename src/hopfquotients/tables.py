@@ -14,7 +14,7 @@ import json
 from importlib.resources import files
 
 from .combinatorics import is_partition
-from .decompose import decompose
+from .decompose import decompose, workers
 from .hopf import SYM, TENSOR, HopfAlgebra
 from .presentations import H_FUNCTOR, OMEGA_FUNCTOR, FunctorSpec
 from .version import engine_version
@@ -119,38 +119,41 @@ def _pairs_payload(pairs):
 
 def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
                    jobs=1, cache_dir=None) -> dict:
-    """Recompute every in-scope entry and diff against the table."""
+    """Recompute every in-scope entry, every cell on one pool of jobs
+    workers, and diff against the table."""
     matches = []
     mismatches = []
     new = []
     flagged = []
-    for entry in entries_in_scope(table, functor, rank, hopf, max_degree):
-        key = {k: entry[k] for k in _CELL_FIELDS}
-        computed = _computed_pairs(entry, jobs=jobs, cache_dir=cache_dir)
-        if entry["value"] == UNKNOWN:
-            new.append({**key, "computed": _pairs_payload(computed)})
-            continue
-        expected = decomposition_to_pairs(entry["value"])
-        flagged_parts = {tuple(f["partition"]): f.get("note", "") for f in entry.get("flags", [])}
-        computed_map = dict(computed)
-        expected_map = dict(expected)
-        diff = []
-        for lam in sorted(set(computed_map) | set(expected_map), reverse=True):
-            want = expected_map.get(lam, 0)
-            got = computed_map.get(lam, 0)
-            if lam in flagged_parts:
-                flagged.append({**key, "partition": list(lam), "computed": got,
-                                "note": flagged_parts[lam]})
+    with workers(jobs):
+        for entry in entries_in_scope(table, functor, rank, hopf, max_degree):
+            key = {k: entry[k] for k in _CELL_FIELDS}
+            computed = _computed_pairs(entry, jobs=jobs, cache_dir=cache_dir)
+            if entry["value"] == UNKNOWN:
+                new.append({**key, "computed": _pairs_payload(computed)})
                 continue
-            if want != got:
-                diff.append({"partition": list(lam), "expected": want, "computed": got})
-        if diff:
-            mismatches.append({**key,
-                               "expected": _pairs_payload(expected),
-                               "computed": _pairs_payload(computed),
-                               "diff": diff})
-        else:
-            matches.append(key)
+            expected = decomposition_to_pairs(entry["value"])
+            flagged_parts = {tuple(f["partition"]): f.get("note", "")
+                             for f in entry.get("flags", [])}
+            computed_map = dict(computed)
+            expected_map = dict(expected)
+            diff = []
+            for lam in sorted(set(computed_map) | set(expected_map), reverse=True):
+                want = expected_map.get(lam, 0)
+                got = computed_map.get(lam, 0)
+                if lam in flagged_parts:
+                    flagged.append({**key, "partition": list(lam), "computed": got,
+                                    "note": flagged_parts[lam]})
+                    continue
+                if want != got:
+                    diff.append({"partition": list(lam), "expected": want, "computed": got})
+            if diff:
+                mismatches.append({**key,
+                                   "expected": _pairs_payload(expected),
+                                   "computed": _pairs_payload(computed),
+                                   "diff": diff})
+            else:
+                matches.append(key)
     return {
         "engine_version": engine_version(),
         "checked": len(matches) + len(mismatches),

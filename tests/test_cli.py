@@ -72,6 +72,31 @@ class TestCompute:
 
 
 class TestVerify:
+    def test_jobs_do_not_change_the_output(self):
+        args = ("verify", "--hopf", "tensor", "--rank", "2", "--max-degree", "5")
+        serial = run(*args, "--jobs", "1")
+        parallel = run(*args, "--jobs", "2")
+        assert serial.returncode == parallel.returncode == 0, parallel.stderr
+        assert serial.stdout == parallel.stdout
+
+    def test_worker_error_exits_two(self, tmp_path):
+        from hopfquotients.tables import entries_in_scope, load_expected
+
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        # a single cell of several HW blocks, so the error is raised in a
+        # pool worker
+        path = tmp_path / "one-cell.json"
+        path.write_text(json.dumps({"entries": [
+            e for e in entries_in_scope(load_expected(), functor="H", rank=2, hopf="tensor")
+            if e["degree"] == 4]}))
+        res = run("verify", "--against", str(path), "--jobs", "2",
+                  "--cache-dir", str(not_a_dir))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
     def test_packaged_table_scope(self):
         res = run("verify", "--rank", "2", "--hopf", "sym", "--max-degree", "5")
         assert res.returncode == 0, res.stderr

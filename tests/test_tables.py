@@ -1,8 +1,11 @@
 import json
+import multiprocessing
+from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
 
 import pytest
 
+from hopfquotients import presentations
 from hopfquotients.tables import (
     UNKNOWN,
     ZERO,
@@ -143,6 +146,41 @@ class TestVerifyAgainst:
             f["partition"] == [3, 1] and f["computed"] == 1 and "illegible" in f["note"]
             for f in report["flagged"]
         )
+
+
+class TestOnePool:
+    """verify_against computes all its cells on one pool and leaves no
+    worker behind, also when a worker's block raises."""
+
+    def test_one_pool_per_verify_run(self, table, monkeypatch):
+        serial = verify_against(table, rank=2, hopf="tensor", max_degree=5)
+        real_pool = multiprocessing.Pool
+        started = []
+
+        def counted(*args, **kwargs):
+            started.append(args)
+            return real_pool(*args, **kwargs)
+
+        # else every block is cached and the pool gets no work
+        presentations._MEM_CACHE.clear()
+        monkeypatch.setattr(multiprocessing, "Pool", counted)
+        assert verify_against(table, rank=2, hopf="tensor", max_degree=5, jobs=2) == serial
+        assert started == [(2,)]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_reaches_the_caller(self, table, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        # one cell of several HW blocks, so that its blocks all go to the
+        # pool, where block_result finds a file where the cache should be
+        one_cell = {"entries": [e for e in entries_in_scope(table, functor="H", rank=2,
+                                                            hopf="tensor")
+                                if e["degree"] == 4]}
+        presentations._MEM_CACHE.clear()
+        with pytest.raises(FileExistsError) as raised:
+            verify_against(one_cell, jobs=2, cache_dir=str(not_a_dir))
+        assert isinstance(raised.value.__cause__, RemoteTraceback)
+        assert multiprocessing.active_children() == []
 
 
 class TestEngineVersion:
