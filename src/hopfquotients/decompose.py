@@ -6,12 +6,16 @@ dimension of the HW block at lam (see presentations), one block per
 partition lam of the degree with at most as many parts as variables,
 and no solve is needed.
 
-Over the tensor algebra the HW block at lam costs what the weight block
-at lam costs to generate, M(lam) = d!/prod(lam_i!) words per cut of a
-word into slots.  Over odd generators the functor holds mult_lam copies
-of the irreducible of shape lam' (super duality, as for the sign blocks
-of presentations), so the HW block at lam' over odd generators has the
-same quotient dimension; it is taken instead when M(lam) > M(lam').
+Over the tensor algebra the HW blocks at lam and at lam' both have
+cuts * f^lam columns, one per standard tableau and cut of a word into
+slots, but their bideterminants expand differently: f^lam *
+prod(lam'_j!) monomials per cut at lam, against f^lam * prod(lam_i!)
+at lam'.  Over odd generators the functor holds mult_lam copies of the
+irreducible of shape lam' (super duality, as for the sign blocks of
+presentations), so the HW block at lam' over odd generators has the
+same quotient dimension.  It is taken instead when M(lam) > M(lam'),
+with M(lam) = d!/prod(lam_i!), that is when prod(lam_i!) <
+prod(lam'_j!): the smaller expansion.
 
 Check blocks confirm the HW ranks.  An ordinary weight block at mu has
 dimension sum_kappa mult_kappa * K_{kappa,mu}, a sign block at mu (the
@@ -188,9 +192,10 @@ def decompose(
         return replace(s, hopf=replace(s.hopf, odd=True))
 
     def hw_block(lam):
-        # lam, or lam' over odd generators where that generates fewer
-        # words: the weight blocks' sizes are C(d + rank - 1, rank - 1)
-        # times M(lam) and M(lam')
+        # lam, or lam' over odd generators where its bideterminants
+        # expand to fewer monomials, which is where M(lam) > M(lam'):
+        # the weight blocks' sizes are C(d + rank - 1, rank - 1) times
+        # M(lam) and M(lam')
         lam, dual = pad_weight(lam, m), pad_weight(conjugate(lam), m)
         if not sym and block_cols(wspec, lam) > block_cols(wspec, dual):
             return odd(hw), dual

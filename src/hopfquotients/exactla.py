@@ -6,16 +6,20 @@ leading coefficient positive), drops repeats of a line before any
 elimination, and hands the rest to rank_sparse.  That is a
 fraction-free elimination in big integers: a pivot step replaces row_j
 by (p * row_j - v * row_i), divided by its content, so no rationals
-ever appear and every row stays primitive.  Pivots are chosen
-Markowitz style, cheapest column first and shortest row within it,
-with deterministic tie breaks, so a given matrix always eliminates the
-same way; dividing a row by its content changes no entry's support, so
-it changes no pivot either.
+ever appear and every row stays primitive.  Pivots follow Markowitz's
+rule exactly: each step scans the live columns, those that still hold
+an unretired row, takes the one holding the fewest rows (ties to the
+lowest index), and within it the shortest row (ties to the lowest
+index).  So a given matrix always eliminates the same way.  After k
+steps no unretired row has an entry in the k pivot columns, so on n
+columns the next scan sees at most n - k of them, and the scans cost at
+most n(n + 1)/2, about n^2/2, key evaluations in all.
+Dividing a row by its content changes no entry's support, so it
+changes no pivot either.
 """
 
 from __future__ import annotations
 
-import heapq
 from math import gcd
 
 
@@ -58,31 +62,28 @@ def rank_sparse(rows) -> int:
     """Rank of the span of the given rows, fraction-free.  Rows hold no
     zero entries; neither the list nor its rows are modified."""
     live = [r for r in rows if r]
+    # cols[c] holds the unretired rows with an entry in column c; a
+    # column leaves as soon as it holds none
     cols: dict[int, set] = {}
     for i, row in enumerate(live):
         for c in row:
             cols.setdefault(c, set()).add(i)
-    heap = [(len(members), c) for c, members in cols.items()]
-    heapq.heapify(heap)
+
+    def retire(col, i):
+        cols[col].discard(i)
+        if not cols[col]:
+            del cols[col]
+
     rank = 0
-    while heap:
-        count, c = heapq.heappop(heap)
-        members = cols.get(c)
-        if not members:
-            continue
-        if count != len(members):
-            heapq.heappush(heap, (len(members), c))
-            continue
+    while cols:
+        c = min(cols, key=lambda c: (len(cols[c]), c))
+        members = cols[c]
         pivot = min(members, key=lambda i: (len(live[i]), i))
         prow = live[pivot]
         pval = prow[c]
         rank += 1
-        # retire the pivot row from every column it touches
         for col in prow:
-            group = cols[col]
-            group.discard(pivot)
-            if not group and col != c:
-                cols.pop(col)
+            retire(col, pivot)
         for j in list(members):
             jrow = live[j]
             v = jrow[c]
@@ -101,13 +102,9 @@ def rank_sparse(rows) -> int:
                 new = _primitive(new)
             for col in jrow:
                 if col not in new:
-                    grp = cols.get(col)
-                    if grp is not None:
-                        grp.discard(j)
+                    retire(col, j)
             for col in new:
                 if col not in jrow:
                     cols.setdefault(col, set()).add(j)
-                    heapq.heappush(heap, (len(cols[col]), col))
             live[j] = new
-        cols.pop(c, None)
     return rank

@@ -13,9 +13,9 @@ quotient's entry for even or for odd degree.  Every block of the tensor
 algebra first imposes the conjugation defect, the one-word relation
 (('ad',),), so every quotient is really a quotient of the reduced tensor
 power; over Sym, whose product commutes, the defect is zero and is
-skipped.  For the tensor algebra RELATIONS also carries the commutators
-of rank 1.  So every row of a weight block is the image of one relation
-on one basis tuple.
+skipped.  At rank 1 the defect's rows are the commutators v*r - r*v,
+and the only entry of RELATIONS is the antipode relation.  So every row
+of a weight block is the image of one relation on one basis tuple.
 
 Over the tensor algebra with odd generators, HopfAlgebra(TENSOR, m,
 odd=True), the slot operators carry Koszul signs (see hopf and

@@ -1,3 +1,4 @@
+import copy
 import random
 from math import gcd, prod
 
@@ -165,3 +166,23 @@ class TestDeterminism:
         rng = random.Random(99)
         rows = random_rows(rng, 10, 10, density=0.5)
         assert rank_sparse(rows) == rank_sparse([dict(r) for r in rows])
+
+    def test_cheapest_live_column_first(self, monkeypatch):
+        # once column 0 is pivoted, column 2 holds one live row and
+        # column 1 two: the exact rule pivots on 2, then 1, and no step
+        # has anything to eliminate
+        calls = []
+        real = exactla._primitive
+        monkeypatch.setattr(exactla, "_primitive", lambda row: calls.append(row) or real(row))
+        assert rank_sparse([{1: 1, 2: 1}, {0: -1, 2: 2}, {1: -1}]) == 3
+        assert calls == []
+
+    def test_input_is_not_modified(self):
+        # more rows than columns, and repeated rows, so pivot steps
+        # cancel entries and empty rows
+        rng = random.Random(2718)
+        rows = random_rows(rng, 14, 8, density=0.5, lo=-3, hi=3)
+        rows += [dict(rows[0]), {c: -2 * v for c, v in rows[1].items()}]
+        before = copy.deepcopy(rows)
+        assert rank_sparse(rows) == rank_dense(rows, 8) < len(rows)
+        assert rows == before

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from math import comb
 from pathlib import Path
@@ -21,7 +23,7 @@ from reference_ops import (
 from hopfquotients.combinatorics import cusp_dim, partitions_of, weyl_dim
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
-from hopfquotients import presentations
+from hopfquotients import presentations, version
 from hopfquotients.presentations import (
     H_FUNCTOR,
     OMEGA_FUNCTOR,
@@ -381,6 +383,17 @@ class TestCaching:
         presentations._MEM_CACHE.clear()
         fresh = block_result(s, (3, 1), cache_dir=str(tmp_path))
         assert fresh.rank != 12345
+
+    def test_fingerprint_covers_the_engine(self):
+        # a module the engine loads but the fingerprint skips would let
+        # --cache-dir serve records computed by older code
+        script = ("import sys, hopfquotients.decompose; "
+                  "print(*(m for m in sys.modules if m.startswith('hopfquotients.')))")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True).stdout
+        loaded = {m.split(".", 1)[1] + ".py" for m in out.split()} - {"version.py"}
+        assert "decompose.py" in loaded
+        assert loaded <= set(version._CORE), loaded - set(version._CORE)
 
     @pytest.mark.parametrize(
         "mangle, hw",
