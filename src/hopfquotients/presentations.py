@@ -15,7 +15,10 @@ algebra first imposes the conjugation defect, the one-word relation
 power; over Sym, whose product commutes, the defect is zero and is
 skipped.  At rank 1 the defect's rows are the commutators v*r - r*v,
 and the only entry of RELATIONS is the antipode relation.  So every row
-of a weight block is the image of one relation on one basis tuple.
+is the image of one relation on one vector, and every block, weight,
+sign or HW, lists its rows vector by vector and, for each vector,
+relation by relation in the order of block_relations, the one place
+that picks a block's relations.
 
 Over the tensor algebra with odd generators, HopfAlgebra(TENSOR, m,
 odd=True), the slot operators carry Koszul signs (see hopf and
@@ -168,8 +171,8 @@ _UNIT_SLOT_SYMMETRY = ((1, (_U0,)), (1, (_U0, _SW12)))
 _COPRODUCT_IMAGE = ((1, (_U1, _SW02, _E, _SW02)),)
 
 # (functor, rank, parity) -> relations, in the order their rows are
-# generated for each basis tuple; both functors coincide in rank 1.  A
-# Sym block takes its degree's parity entry where there is one, others "none".
+# generated for each vector; both functors coincide in rank 1.  See
+# block_relations for the entry a block takes.
 RELATIONS = {
     (H_FUNCTOR, 1, "none"): (_ANTIPODE,),
     (OMEGA_FUNCTOR, 1, "none"): (_ANTIPODE,),
@@ -218,36 +221,45 @@ class FunctorSpec:
         return key + "|hw" if self.highest_weight else key
 
 
+def block_relations(spec: FunctorSpec, weight) -> tuple:
+    """The relations of the block at weight, in the order their rows are
+    generated for each vector.  Over the tensor algebra they are the
+    conjugation defect, then the entry (functor, rank, "none") of
+    RELATIONS.  Over sym, where the defect is zero, they are the entry
+    for the parity of the block's degree where there is one, else the
+    "none" entry."""
+    key = (spec.functor, spec.rank)
+    if not spec.hopf.commutative:
+        return (_CONJUGATION_DEFECT,) + RELATIONS[key + ("none",)]
+    parity = "odd" if sum(weight) % 2 else "even"
+    return RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
+
+
 def relation_rows(spec: FunctorSpec, weight):
     """Materialize the relation rows for one block.
 
     Returns (basis, rows) where rows are integer dict-vectors over column
-    indices into basis.  For a weight block the vectors are the basis
-    tuples, and the rows are the nonzero images of the conjugation
-    defect on every basis tuple (none over sym, where it is zero), then,
-    basis tuple by basis tuple, those of the block's relations.  For a
-    highest-weight block, basis holds the leading tuples of its
-    bideterminants, the vectors (see _highest_weight_basis), and the
-    rows are, vector by vector, the nonzero images under the defect and
-    the relations projected onto those tuples.  Both are built by
-    _block_rows, one column at a time.
+    indices into basis.  The vectors of a weight block are its basis
+    tuples; those of a highest-weight block are its bideterminants, and
+    basis holds their leading tuples (see _highest_weight_basis).  The
+    rows come vector by vector and, for each vector, relation by
+    relation in the order of block_relations, the conjugation defect
+    first over the tensor algebra: the nonzero images of the vector,
+    projected onto the tuples of basis.  _block_rows builds them one
+    column at a time.
     """
     H = spec.hopf
     weight = tuple(weight)
-    key = (spec.functor, spec.rank)
-    parity = ("odd" if sum(weight) % 2 else "even") if H.kind == SYM else "none"
-    exprs = RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
-    groups = (exprs,) if H.commutative else ((_CONJUGATION_DEFECT,), exprs)
     if spec.highest_weight:
         basis, support = _highest_weight_basis(H, spec.rank, weight)
-        return basis, _block_rows(H, (sum(groups, ()),), basis, support)
-    # odd generators have the same basis: share the even block's cache entry
-    basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
-    support = {t: ((i, 1),) for i, t in enumerate(basis)}
-    return basis, _block_rows(H, groups, basis, support)
+    else:
+        # odd generators have the same basis: share the even block's cache entry
+        basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
+        support = {t: ((i, 1),) for i, t in enumerate(basis)}
+    return basis, _block_rows(H, block_relations(spec, weight), basis, support)
 
 
-def _block_rows(H: HopfAlgebra, groups, basis, support) -> list:
+def _block_rows(H: HopfAlgebra, exprs, basis, support) -> list:
     """The rows of the block whose columns are the tuples of basis, and
     whose vector i, one per column, is the sum over t of x * t for the
     (i, x) in support[t].
@@ -257,29 +269,27 @@ def _block_rows(H: HopfAlgebra, groups, basis, support) -> list:
     u> for every t at once from u, as apply_expr(H, adjoint(R), u)[t],
     so each column is applied once per relation and its entries are
     added into the rows of every vector whose support holds t.  The rows
-    come group by group, vector by vector and relation by relation, as
-    dict-vectors over column indices, zero rows dropped."""
+    come vector by vector and relation by relation, in the order of
+    exprs, as dict-vectors over column indices, zero rows dropped."""
     # per relation, its adjoint and its row sums, one per vector
-    sums = [[(adjoint(expr), [{} for _ in basis]) for expr in group] for group in groups]
+    sums = [(adjoint(expr), [{} for _ in basis]) for expr in exprs]
     for col, u in enumerate(basis):
-        for group in sums:
-            for expr, expr_rows in group:
-                for t, v in apply_expr(H, expr, u).items():
-                    for i, x in support.get(t, ()):
-                        row = expr_rows[i]
-                        row[col] = row.get(col, 0) + x * v
+        for expr, expr_rows in sums:
+            for t, v in apply_expr(H, expr, u).items():
+                for i, x in support.get(t, ()):
+                    row = expr_rows[i]
+                    row[col] = row.get(col, 0) + x * v
     # memoized transposes live for one block, so the cache never grows
     # with the length of a run
     _coproduct_transpose.cache_clear()
     rows = []
-    for group in sums:
-        for i in range(len(basis)):
-            for _, expr_rows in group:
-                row = expr_rows[i]
-                if 0 in row.values():
-                    row = {col: v for col, v in row.items() if v}
-                if row:
-                    rows.append(row)
+    for i in range(len(basis)):
+        for _, expr_rows in sums:
+            row = expr_rows[i]
+            if 0 in row.values():
+                row = {col: v for col, v in row.items() if v}
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -398,7 +408,6 @@ def _highest_weight_basis(H: HopfAlgebra, n: int, weight: tuple):
 
 @dataclass
 class BlockResult:
-    weight: tuple
     ambient_dim: int
     rank: int
 
@@ -440,18 +449,7 @@ def compute_block(spec: FunctorSpec, weight) -> BlockResult:
     # row is freed as soon as rank_distinct has normalized it
     rows.reverse()
     rank = rank_distinct(rows.pop() for _ in range(len(rows)))
-    return BlockResult(tuple(weight), len(basis), rank)
-
-
-def _spec_record(spec: FunctorSpec) -> dict:
-    return {
-        "functor": spec.functor,
-        "rank": spec.rank,
-        "hopf": spec.hopf.kind,
-        "num_vars": spec.hopf.num_vars,
-        "odd": spec.hopf.odd,
-        "highest_weight": spec.highest_weight,
-    }
+    return BlockResult(len(basis), rank)
 
 
 def _read_record(path, spec: FunctorSpec, weight):
@@ -468,15 +466,14 @@ def _read_record(path, spec: FunctorSpec, weight):
     ambient, rank, quotient = (record.get(f) for f in ("ambient_dim", "rank", "quotient_dim"))
     if (
         record.get("engine_version_hash") != engine_version()
-        or record.get("spec") != _spec_record(spec)
-        or record.get("weight") != list(weight)
+        or record.get("block") != _cache_token(spec, weight)
         or any(type(value) is not int for value in (ambient, rank, quotient))
         # the three numbers must agree with each other and with the block
         or not 0 <= rank <= ambient == block_cols(spec, weight)
         or quotient != ambient - rank
     ):
         return None
-    return BlockResult(tuple(weight), ambient, rank)
+    return BlockResult(ambient, rank)
 
 
 def in_memory(spec: FunctorSpec, weight) -> bool:
@@ -509,8 +506,7 @@ def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
     _MEM_CACHE[token] = result
     if path is not None:
         record = {
-            "spec": _spec_record(spec),
-            "weight": list(result.weight),
+            "block": token,
             "ambient_dim": result.ambient_dim,
             "rank": result.rank,
             "quotient_dim": result.quotient_dim,

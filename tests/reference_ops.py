@@ -43,10 +43,10 @@ import pytest
 from hopfquotients import presentations
 from hopfquotients.hopf import SYM, add_into
 from hopfquotients.presentations import (
-    _CONJUGATION_DEFECT,
     RANK3_H_EXPRS,
     SYM_EVEN_EXPRS,
     SYM_ODD_EXPRS,
+    block_relations,
     semistandard_tableaux,
     standard_tableaux,
 )
@@ -226,13 +226,12 @@ def sign_block_rows(spec, weight):
     standardize, fold = sign_fold(weight)
     basis = tensorspace.tensor_basis(H, spec.rank, tuple(weight))
     rows = []
-    for group in _groups(spec, weight):
-        for t in basis:
-            seed = standardize(t)
-            for expr in group:
-                row = fold(tensorspace.apply_expr(H, expr, seed))
-                if row:
-                    rows.append(row)
+    for t in basis:
+        seed = standardize(t)
+        for expr in block_relations(spec, weight):
+            row = fold(tensorspace.apply_expr(H, expr, seed))
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -280,27 +279,14 @@ def _perm_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _groups(spec, weight):
-    """The block's relations as relation_rows groups them: the
-    conjugation defect, over the tensor algebra only, then the entry of
-    RELATIONS for the block's (functor, rank) and, over sym, parity."""
-    sym = spec.hopf.kind == SYM
-    parity = ("odd" if sum(weight) % 2 else "even") if sym else "none"
-    key = (spec.functor, spec.rank)
-    exprs = presentations.RELATIONS.get(key + (parity,)) or presentations.RELATIONS[key + ("none",)]
-    return (exprs,) if sym else ((_CONJUGATION_DEFECT,), exprs)
-
-
 def unprojected_hw_rows(spec, weight):
     """The rows of the HW block at weight over the block's tuples: the
-    image of every vector of hw_vectors() under every relation of the
-    block, the conjugation defect first over the tensor algebra, in that
-    order, zero rows dropped."""
+    image of every vector of hw_vectors() under every relation of
+    block_relations(), in that order, zero rows dropped."""
     H = spec.hopf
-    exprs = sum(_groups(spec, weight), ())
     rows = []
     for vector in hw_vectors(spec, weight):
-        for expr in exprs:
+        for expr in block_relations(spec, weight):
             row: dict = {}
             for t, c in vector.items():
                 for u, v in tensorspace.apply_expr(H, expr, t).items():
@@ -313,8 +299,8 @@ def unprojected_hw_rows(spec, weight):
 def forward_rows(spec, weight, basis):
     """relation_rows' rows built forward, as dict-vectors over indices
     into basis.  A weight block applies each relation to each basis
-    tuple, group by group and tuple by tuple; an HW block takes
-    unprojected_hw_rows() restricted to the leading tuples in basis.
+    tuple, tuple by tuple; an HW block takes unprojected_hw_rows()
+    restricted to the leading tuples in basis.
     Zero rows are dropped."""
     index = {t: i for i, t in enumerate(basis)}
     if spec.highest_weight:
@@ -322,7 +308,7 @@ def forward_rows(spec, weight, basis):
                 for row in unprojected_hw_rows(spec, weight)]
     else:
         rows = [{index[u]: c for u, c in tensorspace.apply_expr(spec.hopf, expr, t).items()}
-                for group in _groups(spec, weight) for t in basis for expr in group]
+                for t in basis for expr in block_relations(spec, weight)]
     return [row for row in rows if row]
 
 

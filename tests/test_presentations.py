@@ -156,7 +156,6 @@ class TestBlockResult:
     def test_fields(self):
         s = spec(H_FUNCTOR, 2, SYM, 2)
         res = compute_block(s, (3, 1))
-        assert res.weight == (3, 1)
         assert res.ambient_dim == len(relation_rows(s, (3, 1))[0])
         assert res.quotient_dim == res.ambient_dim - res.rank == 1
 
@@ -298,17 +297,27 @@ class TestHighestWeightBlocks:
             relation_rows(spec(H_FUNCTOR, 2, SYM, 2, hw=True), (3, 1))
 
 
+def _reblock(record, old, new):
+    """The record with old replaced by new in the token of its block."""
+    return {**record, "block": record["block"].replace(old, new)}
+
+
+def _wrong_rank(record):
+    """The record with rank 0, consistent in itself, so that accepting it
+    would show."""
+    return {**record, "rank": 0, "quotient_dim": record["ambient_dim"]}
+
+
+# a record names its block by its cache token, e.g. "H|2|sym|2|3,1"
 _MANGLES = {
     "list": lambda record: [record],
-    "weight-int": lambda record: {**record, "weight": 5},
-    "other-weight": lambda record: {**record, "weight": [1, 3]},
+    "weight-int": lambda record: {**record, "block": 5},
+    "other-weight": lambda record: _reblock(record, "|3,1", "|1,3"),
     "rank-str": lambda record: {**record, "rank": "x"},
     "rank-null": lambda record: {**record, "rank": None},
     "dim-float": lambda record: {**record, "ambient_dim": 4.0},
-    # a wrong rank too, so that accepting the record would show
-    "other-spec": lambda record: {**record, "spec": {**record["spec"], "functor": "Omega"},
-                                  "rank": 0},
-    "spec-null": lambda record: {**record, "spec": None, "rank": 0},
+    "other-spec": lambda record: _wrong_rank(_reblock(record, "H|", "Omega|")),
+    "spec-null": lambda record: _wrong_rank({**record, "block": None}),
     # well typed, but the numbers disagree with each other or the block
     "rank-above-dim": lambda record: {**record, "rank": record["ambient_dim"] + 3,
                                       "quotient_dim": -3},
@@ -324,9 +333,8 @@ _HW_MANGLES = {
     # the weight block at (3, 1, 0) has 30 columns
     "hw-weight-block-dim": lambda record: {**record, "ambient_dim": 30,
                                            "rank": 30 - record["quotient_dim"]},
-    "hw-not-marked": lambda record: {**record, "rank": 0, "spec": {
-        **record["spec"], "highest_weight": False}},
-    "hw-partition-reversed": lambda record: {**record, "weight": [0, 1, 3]},
+    "hw-not-marked": lambda record: _wrong_rank(_reblock(record, "|hw|", "|")),
+    "hw-partition-reversed": lambda record: _reblock(record, "|3,1,0", "|0,1,3"),
 }
 
 
@@ -361,7 +369,7 @@ class TestCaching:
         assert len(files) == 1 and files[0].endswith(".json")
         record = json.loads((tmp_path / files[0]).read_text())
         assert record["quotient_dim"] == first.quotient_dim
-        assert record["spec"]["functor"] == "H"
+        assert record["block"] == "H|2|sym|2|3,1"
 
         presentations._MEM_CACHE.clear()
 
@@ -635,10 +643,10 @@ class TestRowGolden:
     @pytest.mark.parametrize(
         "functor, rank, digest",
         [
-            (H_FUNCTOR, 2, "6364ec4a392d3fdda2d6ef8d54df5f88ce075254524151bd63c24132a577f7e1"),
-            (H_FUNCTOR, 3, "405f99cfe023267b2fe830d4f59ae77cd795ce66f8bb89d627d081bbdcdfd5c9"),
-            (OMEGA_FUNCTOR, 2, "262baf556693b8aecd4db96cfdc9d0c7e480f8e3a1f6c74dfd1a4f9c5fb8e579"),
-            (OMEGA_FUNCTOR, 3, "c67d32389b5e6bae4fa90d25b2eeced2b5cb8de0d1d0fb34ae6ecd911d4756d5"),
+            (H_FUNCTOR, 2, "8557901123e1312d5a8ca71832393a9db09f373141298f67f241f5286c1380a1"),
+            (H_FUNCTOR, 3, "ddb4e1589bc08e89d45889537c04372a78218f3597ccdc9cf111fc09c7f9c6f9"),
+            (OMEGA_FUNCTOR, 2, "cc4b7865ed3ce24a3f12dd98a337028847db99177b2ab62696b8dcac638b4e6b"),
+            (OMEGA_FUNCTOR, 3, "a3a8a363ad93fc035ddff1e3961afacdc0e3a1bb6e59590a9c9dc35fd63bbcc7"),
         ],
     )
     def test_row_order_digest(self, functor, rank, digest):

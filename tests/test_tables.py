@@ -168,6 +168,20 @@ class TestOnePool:
         assert started == [(2,)]
         assert multiprocessing.active_children() == []
 
+    def test_pool_written_records_serve_a_serial_run(self, table, tmp_path, monkeypatch):
+        # a memory hit writes no record, so every block starts a miss
+        monkeypatch.setattr(presentations, "_MEM_CACHE", {})
+        pooled = verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=2,
+                                cache_dir=str(tmp_path))
+        monkeypatch.setattr(presentations, "_MEM_CACHE", {})
+
+        def boom(*args, **kwargs):
+            raise AssertionError("should have come from disk")
+
+        monkeypatch.setattr(presentations, "compute_block", boom)
+        assert verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=1,
+                              cache_dir=str(tmp_path)) == pooled
+
     def test_a_worker_error_reaches_the_caller(self, table, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
