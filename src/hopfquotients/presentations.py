@@ -62,11 +62,13 @@ Every block builds its rows from its columns.  The entry of the row of
 relation R and vector v at column u is <R v, u>, in the pairing in
 which the block's tuples are orthonormal, and <R t, u> = <t, R* u> for
 the adjoint R* of tensorspace.  So each column tuple u is applied once
-per relation, through R*, and each tuple t of that image adds into the
-rows of the vectors whose support holds t.  The vectors of a weight
-block are its basis tuples themselves.  An HW block so costs its
-columns, not its support, times its relations, and no image term
-outside the kept columns is built.
+per block, through the adjoints of all its relations in one walk of a
+prefix tree of their words (tensorspace.apply_expr), and each tuple t
+of the image under R* adds into the rows of relation R of the vectors
+whose support holds t.  The vectors of a weight block are its basis
+tuples themselves.  An HW block so costs its columns, not its support,
+a word prefix the relations share is applied once per column, and no
+image term outside the kept columns is built.
 """
 
 from __future__ import annotations
@@ -266,30 +268,31 @@ def _block_rows(H: HopfAlgebra, exprs, basis, support) -> list:
 
     Row (i, R) holds at column u the coefficient of u in R applied to
     vector i, the sum over t of x * <R t, u>.  The adjoint gives <R t,
-    u> for every t at once from u, as apply_expr(H, adjoint(R), u)[t],
-    so each column is applied once per relation and its entries are
-    added into the rows of every vector whose support holds t.  The rows
+    u> for every t at once from u, as the image of u under adjoint(R).
+    So each column is applied once, in one apply_expr call that walks
+    the words of all the adjoints as one tree and returns one image per
+    relation, and the entries of each image are added into the rows of
+    that relation of every vector whose support holds t.  The rows
     come vector by vector and relation by relation, in the order of
     exprs, as dict-vectors over column indices, zero rows dropped."""
-    # per relation, its adjoint and its row sums, one per vector
-    sums = [(adjoint(expr), [{} for _ in basis]) for expr in exprs]
+    stars = tuple(adjoint(expr) for expr in exprs)
+    # row sums, vector by vector and relation by relation
+    sums = [{} for _ in range(len(basis) * len(stars))]
     for col, u in enumerate(basis):
-        for expr, expr_rows in sums:
-            for t, v in apply_expr(H, expr, u).items():
+        for r, image in enumerate(apply_expr(H, stars, u)):
+            for t, v in image.items():
                 for i, x in support.get(t, ()):
-                    row = expr_rows[i]
+                    row = sums[i * len(stars) + r]
                     row[col] = row.get(col, 0) + x * v
     # memoized transposes live for one block, so the cache never grows
     # with the length of a run
     _coproduct_transpose.cache_clear()
     rows = []
-    for i in range(len(basis)):
-        for _, expr_rows in sums:
-            row = expr_rows[i]
-            if 0 in row.values():
-                row = {col: v for col, v in row.items() if v}
-            if row:
-                rows.append(row)
+    for row in sums:
+        if 0 in row.values():
+            row = {col: v for col, v in row.items() if v}
+        if row:
+            rows.append(row)
     return rows
 
 

@@ -44,14 +44,16 @@ with b in slot 1.  F* writes slot 0 as a * p and sends p (x) slot 1
 into slot 1, with a in slot 0.  ad* writes each slot i as v * w and as
 w * v, and puts v in front of slot 0 of the tuple with w in slot i,
 with the sign ad gives that term.  adjoint(expr) reverses each word and
-stars its atoms, so apply_expr(H, adjoint(expr), u) holds at each t
-the coefficient of u in apply_expr(H, expr, t).
+stars its atoms, so apply_expr(H, (adjoint(expr),), u)[0] holds at
+each t the coefficient of u in apply_expr(H, (expr,), t)[0].
 
-apply_expr is the entry point: it applies a formal sum of words to one
-basis tuple and sums the resulting terms once per expression.  The
-engine applies adjoints only, to build each relation row from its
-columns (see presentations); the forward E, F and ad are the reference
-the tests check them against.
+apply_expr is the entry point: it applies a tuple of formal sums to one
+basis tuple and returns one vector per sum.  It walks one prefix tree
+of all their words, so a prefix the sums share is applied once, and
+adds the image of each word into its sum where the word ends.  The
+engine applies the adjoints of a block's relations, all at once, to
+each column (see presentations); the forward E, F and ad are the
+reference the tests check the starred atoms against.
 """
 
 from __future__ import annotations
@@ -174,24 +176,63 @@ def adjoint(expr) -> tuple:
     """The adjoint of a formal sum of words under the pairing in which the
     basis tuples are orthonormal: each word reversed and its atoms
     starred, swap, S and U being their own adjoints.  So
-    apply_expr(H, adjoint(expr), u)[t] == apply_expr(H, expr, t)[u]."""
+    apply_expr(H, (adjoint(expr),), u)[0][t] equals
+    apply_expr(H, (expr,), t)[0][u]."""
     return tuple(
         (coeff, tuple((_STARRED.get(atom[0], atom[0]),) + atom[1:] for atom in reversed(word)))
         for coeff, word in expr
     )
 
 
-def apply_expr(H: HopfAlgebra, expr, t: tuple) -> dict:
-    """expr is a list of (coeff, word) pairs; returns expr applied to t.
+# one tree per tuple of sums: a block's relations, so a handful per run
+@lru_cache(maxsize=None)
+def _word_tree(exprs) -> tuple:
+    """The words of a tuple of formal sums as one prefix tree, a node per
+    atom.  A node is (leaves, children): leaves lists the (index of the
+    sum, coefficient) of each word that ends at the node, children maps
+    each atom by which a word goes on to the next node."""
+    root: tuple = ([], {})
+    for r, expr in enumerate(exprs):
+        for coeff, word in expr:
+            node = root
+            for atom in word:
+                node = node[1].setdefault(atom, ([], {}))
+            node[0].append((r, coeff))
+    return root
 
-    Each word carries its image as a list of (tuple, coeff) terms, which
-    every atom maps through apply_atom; the terms of all words are summed,
-    and zeros dropped, once at the end.  This is exact by linearity."""
-    out: dict = {}
-    for coeff, word in expr:
-        terms = [(t, coeff)]
-        for atom in word:
-            terms = [(t2, c * c2) for t1, c in terms for t2, c2 in apply_atom(H, atom, t1).items()]
+
+def _walk(H: HopfAlgebra, node: tuple, terms: list, out: list) -> None:
+    """Add terms, the image of the node's prefix as (tuple, coeff)
+    pairs, into the sums of the words that end at node, and walk on
+    into its children."""
+    leaves, children = node
+    for r, coeff in leaves:
+        vec = out[r]
         for tup, c in terms:
-            out[tup] = out.get(tup, 0) + c
-    return {tup: c for tup, c in out.items() if c}
+            vec[tup] = vec.get(tup, 0) + coeff * c
+    for atom, child in children.items():
+        nxt = [(t2, c * c2) for t1, c in terms for t2, c2 in apply_atom(H, atom, t1).items()]
+        if nxt:
+            _walk(H, child, nxt, out)
+
+
+def apply_expr(H: HopfAlgebra, exprs: tuple, t: tuple) -> list:
+    """exprs is a tuple of formal sums, each a tuple of (coeff, word)
+    pairs; returns the list of their images of t, one vector per sum.
+
+    The words of all the sums share one prefix tree (_word_tree), walked
+    once: the image of each prefix is built once, as a list of (tuple,
+    coeff) terms that every atom maps through apply_atom, and added into
+    the sum of every word that ends there.  Zeros are dropped once at
+    the end.  This is exact by linearity.  Two sums that share the
+    prefix swap(0, 1) apply it once:
+
+    >>> from hopfquotients.hopf import TENSOR
+    >>> H = HopfAlgebra(TENSOR, 2)
+    >>> swap, S0 = ("swap", 0, 1), ("S", 0)
+    >>> apply_expr(H, (((1, (swap,)),), ((1, (swap, S0)), (-1, ()))), ((0,), (1,)))
+    [{((1,), (0,)): 1}, {((0,), (1,)): -1, ((1,), (0,)): -1}]
+    """
+    out: list = [{} for _ in exprs]
+    _walk(H, _word_tree(exprs), [(t, 1)], out)
+    return [{tup: c for tup, c in vec.items() if c} for vec in out]

@@ -7,6 +7,11 @@ the Hopf structure maps; the engine's relations use none of them.  They
 check the engine's atoms (E and F against merge and counit, swap and
 antipode against tau and delta) and the Hopf identities.
 
+apply_expr() applies one formal sum of words to a tuple, word by word,
+with nothing shared between words: the reference for the engine's
+apply_expr, which walks the words of a whole tuple of sums as one
+prefix tree.  The reference rows below apply it.
+
 bar_rows() generates the conjugation-defect rows indexed by pairs
 (v, t) of a generator and a tuple one v short of the weight, the
 reference for the engine's ('ad',) word.
@@ -107,6 +112,24 @@ def apply_word(H, word, t):
                 add_into(nxt, tup2, c * c2)
         current = nxt
     return current
+
+
+def apply_expr(H, expr, t):
+    """One formal sum of words applied to t, word by word: each word
+    carries its image as a list of (tuple, coeff) terms, which every
+    atom maps through tensorspace.apply_atom; the terms of all words
+    are summed, and zeros dropped, once at the end.  The reference for
+    the engine's shared walk, tensorspace.apply_expr, which applies a
+    whole tuple of sums at once."""
+    out: dict = {}
+    for coeff, word in expr:
+        terms = [(t, coeff)]
+        for atom in word:
+            terms = [(t2, c * c2) for t1, c in terms
+                     for t2, c2 in tensorspace.apply_atom(H, atom, t1).items()]
+        for tup, c in terms:
+            out[tup] = out.get(tup, 0) + c
+    return {tup: c for tup, c in out.items() if c}
 
 
 def coproduct_into(H, t, slot):
@@ -229,7 +252,7 @@ def sign_block_rows(spec, weight):
     for t in basis:
         seed = standardize(t)
         for expr in block_relations(spec, weight):
-            row = fold(tensorspace.apply_expr(H, expr, seed))
+            row = fold(apply_expr(H, expr, seed))
             if row:
                 rows.append(row)
     return rows
@@ -289,7 +312,7 @@ def unprojected_hw_rows(spec, weight):
         for expr in block_relations(spec, weight):
             row: dict = {}
             for t, c in vector.items():
-                for u, v in tensorspace.apply_expr(H, expr, t).items():
+                for u, v in apply_expr(H, expr, t).items():
                     add_into(row, u, c * v)
             if row:
                 rows.append(row)
@@ -307,7 +330,7 @@ def forward_rows(spec, weight, basis):
         rows = [{index[t]: c for t, c in row.items() if t in index}
                 for row in unprojected_hw_rows(spec, weight)]
     else:
-        rows = [{index[u]: c for u, c in tensorspace.apply_expr(spec.hopf, expr, t).items()}
+        rows = [{index[u]: c for u, c in apply_expr(spec.hopf, expr, t).items()}
                 for t in basis for expr in block_relations(spec, weight)]
     return [row for row in rows if row]
 

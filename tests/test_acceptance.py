@@ -253,7 +253,7 @@ def test_criterion_10_property_suite(capsys):
                 for t in tensor_basis(H, 2, weight):
                     for atom in [("tau",), ("delta",)]:
                         assert ref.apply_word(H, (atom, atom), t) == {t: 1}
-                    assert apply_expr(H, ((1, (("swap", 0, 1),) * 2),), t) == {t: 1}
+                    assert apply_expr(H, (((1, (("swap", 0, 1),) * 2),),), t) == [{t: 1}]
                     assert ref.apply_word(H, (("gamma",),) * 3, t) == {t: 1}
 
         # sparse and dense rank agree on real relation matrices

@@ -11,6 +11,7 @@ import pytest
 
 from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
 from reference_ops import (
+    apply_expr as reference_apply_expr,
     bar_rows,
     forward_rows,
     general_reading,
@@ -29,12 +30,15 @@ from hopfquotients.presentations import (
     OMEGA_FUNCTOR,
     FunctorSpec,
     block_cols,
+    block_relations,
     block_result,
     compute_block,
     relation_rows,
     semistandard_tableaux,
     standard_tableaux,
 )
+from hopfquotients import tensorspace
+from hopfquotients.hopf import _coproduct_transpose
 from hopfquotients.tensorspace import adjoint
 
 
@@ -535,34 +539,92 @@ class TestConjugationDefectRows:
 
     @pytest.mark.parametrize("kind", [SYM, TENSOR])
     def test_applied_over_the_tensor_algebra_only(self, kind, monkeypatch):
-        # over sym the product commutes, so v * r_i - r_i * v is zero
-        applied = []
+        # over sym the product commutes, so v * r_i - r_i * v is zero;
+        # each call hands over all the block's sums at once
+        handed = []
         real = presentations.apply_expr
         monkeypatch.setattr(presentations, "apply_expr",
-                            lambda H, expr, t: applied.append(expr) or real(H, expr, t))
+                            lambda H, exprs, t: handed.append(exprs) or real(H, exprs, t))
         relation_rows(spec(OMEGA_FUNCTOR, 3, kind, 3), (2, 1, 1))
-        assert (adjoint(presentations._CONJUGATION_DEFECT) in applied) == (kind == TENSOR)
+        assert handed
+        defect = adjoint(presentations._CONJUGATION_DEFECT)
+        assert {defect in exprs for exprs in handed} == {kind == TENSOR}
+
+
+def all_blocks(functor):
+    """Every weight, sign and HW block of Sym ranks 1-3 to degree 6, and
+    of the tensor algebra at ranks 1-2 to degree 5 and rank 3 to degree
+    4, over even and odd generators."""
+    for rank in (1, 2, 3):
+        for weight in padded_partitions(6, rank):
+            for hw in (False, True):
+                yield spec(functor, rank, SYM, rank, hw=hw), weight
+    for rank, max_degree in ((1, 5), (2, 5), (3, 4)):
+        for weight in weights(max_degree):
+            for odd in (False, True):
+                for hw in (False, True):
+                    yield spec(functor, rank, TENSOR, len(weight), odd=odd, hw=hw), weight
 
 
 class TestRowsFromColumns:
     """relation_rows builds each row entry from its column through the
-    adjoint of the relation; the rows equal, in order, those built by
-    applying every relation to every vector, on every weight, sign and
-    HW block of Sym ranks 1-3 to degree 6, and of the tensor algebra at
-    rank 1 to degree 5 and ranks 2-3 to degree 4."""
+    adjoint of the relation; on every block of all_blocks the rows
+    equal, in order, those built by applying every relation to every
+    vector, and apply_expr gives, term for term, the images of the
+    per-expression reference on every column."""
 
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
-    def test_rows_match_the_forward_rows(self, functor):
-        blocks = [(spec(functor, rank, SYM, rank, hw=hw), weight)
-                  for rank in (1, 2, 3) for weight in padded_partitions(6, rank)
-                  for hw in (False, True)]
-        blocks += [(spec(functor, rank, TENSOR, len(weight), odd=odd, hw=hw), weight)
-                   for rank, max_degree in ((1, 5), (2, 4), (3, 4)) for weight in weights(max_degree)
-                   for odd in (False, True) for hw in (False, True)]
-        assert len(blocks) == 264
+    def test_rows_match_the_forward_rows(self, functor, monkeypatch):
+        # the images each column's rows were built from, column by column
+        applied = []
+        real = presentations.apply_expr
+
+        def spy(H, exprs, t):
+            images = real(H, exprs, t)
+            applied.append((t, images))
+            return images
+
+        monkeypatch.setattr(presentations, "apply_expr", spy)
+        blocks = list(all_blocks(functor))
+        assert len(blocks) == 292
         for s, weight in blocks:
+            applied.clear()
             basis, rows = relation_rows(s, weight)
             assert rows == forward_rows(s, weight, basis), (s.key(), weight)
+            stars = [adjoint(expr) for expr in block_relations(s, weight)]
+            assert [u for u, _ in applied] == list(basis)
+            for u, images in applied:
+                want = [reference_apply_expr(s.hopf, star, u) for star in stars]
+                assert images == want, (s.key(), weight, u)
+
+
+class TestSharedWordTree:
+    """apply_expr applies a block's relations to a column in one walk of
+    a prefix tree of all their words, so that each common prefix is
+    applied once per column, and returns one vector per relation."""
+
+    def test_a_shared_prefix_runs_once_per_column(self, monkeypatch):
+        s, weight = spec(H_FUNCTOR, 3, TENSOR, 3), (2, 1, 1)
+        stars = [adjoint(expr) for expr in block_relations(s, weight)]
+        words = [word for star in stars for _, word in star if ("E*",) in word]
+        prefixes = {word[:word.index(("E*",)) + 1] for word in words}
+        # every atom before E* is a swap, one term each, so E* runs once
+        # per column for each prefix
+        assert all(atom[0] == "swap" for prefix in prefixes for atom in prefix[:-1])
+        assert len(prefixes) < len(words)
+        calls = []
+        real = tensorspace.apply_atom
+        monkeypatch.setattr(tensorspace, "apply_atom",
+                            lambda H, atom, t: calls.append(atom) or real(H, atom, t))
+        basis, _ = relation_rows(s, weight)
+        assert calls.count(("E*",)) == len(basis) * len(prefixes)
+
+    def test_memoized_transposes_do_not_outlive_the_block(self):
+        s = spec(H_FUNCTOR, 3, TENSOR, 3)
+        s.hopf.coproduct_transpose((0,), (1,))
+        assert _coproduct_transpose.cache_info().currsize > 0
+        relation_rows(s, (2, 1, 1))
+        assert _coproduct_transpose.cache_info().currsize == 0
 
 
 class TestSignBlockRows:

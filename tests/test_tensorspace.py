@@ -25,7 +25,7 @@ SYM3 = HopfAlgebra(SYM, 3)
 
 def apply_word(H, word, t):
     """The engine's image of one word: the expression ((1, word),)."""
-    return apply_expr(H, ((1, word),), t)
+    return apply_expr(H, (((1, word),),), t)[0]
 
 
 def pair_blocks(H, total):
@@ -271,8 +271,8 @@ class TestSlotOperations:
         t = ((0,), (0, 1))
         w1 = (("F",),)
         w2 = (("S", 1), ("swap", 0, 1))
-        expr = [(2, w1), (-1, w2)]
-        got = apply_expr(SYM2, expr, t)
+        expr = ((2, w1), (-1, w2))
+        got = apply_expr(SYM2, (expr,), t)[0]
         a = apply_word(SYM2, w1, t)
         b = apply_word(SYM2, w2, t)
         want = {}
@@ -317,8 +317,8 @@ class TestAdjoints:
         for expr in self.exprs(n):
             star = adjoint(expr)
             assert adjoint(star) == expr
-            forward = {(t, u): c for t in basis for u, c in apply_expr(H, expr, t).items()}
-            backward = {(t, u): c for u in basis for t, c in apply_expr(H, star, u).items()}
+            forward = {(t, u): c for t in basis for u, c in apply_expr(H, (expr,), t)[0].items()}
+            backward = {(t, u): c for u in basis for t, c in apply_expr(H, (star,), u)[0].items()}
             assert forward == backward, (H, weight, expr)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -353,18 +353,18 @@ class TestBarRows:
 
     def test_sym_has_none(self):
         for t in tensor_basis(SYM2, 2, (3, 1)):
-            assert apply_expr(SYM2, AD, t) == {}
+            assert apply_expr(SYM2, (AD,), t) == [{}]
 
     def test_unit_slot_zero_has_none(self):
         for t in tensor_basis(TEN2, 3, (2, 1)):
             if t[0] == ():
-                assert apply_expr(TEN2, AD, t) == {}
+                assert apply_expr(TEN2, (AD,), t) == [{}]
 
     def test_rows_live_in_block_and_sum_to_zero(self):
         for weight in [(2, 1), (1, 1), (3, 0)]:
             basis = tensor_basis(TEN2, 2, weight)
             for t in basis:
-                row = apply_expr(TEN2, AD, t)
+                (row,) = apply_expr(TEN2, (AD,), t)
                 assert set(row) <= set(basis)
                 assert sum(row.values()) == 0
 
@@ -407,5 +407,5 @@ class TestBarRows:
         for weight in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]:
             basis = tensor_basis(TEN2, 1, weight)
             idx = {t: i for i, t in enumerate(basis)}
-            rows = [{idx[u]: c for u, c in apply_expr(TEN2, AD, t).items()} for t in basis]
+            rows = [{idx[u]: c for u, c in apply_expr(TEN2, (AD,), t)[0].items()} for t in basis]
             assert len(basis) - rank_distinct(rows) == self.necklace_count(weight)
