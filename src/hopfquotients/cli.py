@@ -8,10 +8,8 @@ Three subcommands, all emitting canonical JSON on stdout:
 
 Exit codes: 0 success; 1 verification mismatch, bound violation, or
 a cell whose check blocks disagree with the multiplicities of its
-highest-weight blocks, or that fails the Weyl reconstruction identity
-(which only faulty Kostka, Weyl-dimension or orbit counts can fail);
-2 bad usage (--jobs below 1 and a negative --max-degree included),
-unreadable input or an unusable --cache-dir.
+highest-weight blocks; 2 bad usage (--jobs below 1 and a negative
+--max-degree included), unreadable input or an unusable --cache-dir.
 """
 
 from __future__ import annotations

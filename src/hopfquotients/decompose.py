@@ -39,7 +39,6 @@ import multiprocessing
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from math import factorial
 
 from .combinatorics import (
     conjugate,
@@ -58,8 +57,8 @@ VIOLATION = "VIOLATION"
 
 
 class InconsistentBlockTableError(RuntimeError):
-    """The block dimensions of a cell disagree: a check block or the
-    Weyl reconstruction does not match the multiplicities."""
+    """The block dimensions of a cell disagree: a check block's
+    dimension does not match the one its multiplicities predict."""
 
     def __init__(self, message, table):
         super().__init__(f"{message}; weight table {table}")
@@ -74,15 +73,6 @@ def default_num_vars(spec: FunctorSpec, degree: int) -> int:
 
 def pad_weight(lam, m: int) -> tuple:
     return tuple(lam) + (0,) * (m - len(lam))
-
-
-def weight_orbit_size(lam, m: int) -> int:
-    """Distinct permutations of the padded weight vector."""
-    padded = pad_weight(lam, m)
-    size = factorial(m)
-    for value in set(padded):
-        size //= factorial(padded.count(value))
-    return size
 
 
 @dataclass
@@ -103,13 +93,6 @@ class Decomposition:
         if m is None:
             m = self.num_vars
         return sum(mult * weyl_dim(lam, m) for lam, mult in self.entries.items())
-
-    def summed_block_dims(self) -> int:
-        """Sum of quotient dims over all weights, via orbit counting."""
-        return sum(
-            dim * weight_orbit_size(lam, self.num_vars)
-            for lam, dim in self.weight_dims.items()
-        )
 
 
 def _block_job(args):
@@ -219,26 +202,7 @@ def decompose(
                 f"the multiplicities of {wspec.key()} degree {degree} predict {predicted}",
                 weight_dims,
             )
-    dec = Decomposition(wspec, degree, entries, weight_dims)
-    _check_reconstruction(dec)
-    return dec
-
-
-def _check_reconstruction(dec: Decomposition) -> None:
-    """The Weyl-dimension sum must reproduce the orbit-summed block
-    dims.  Every entry of weight_dims is the prediction
-    sum_kappa mult_kappa * K_{kappa,mu}, so this checks kostka, weyl_dim
-    and weight_orbit_size against each other, not the block dimensions:
-    any HW rank passes it.  The block dimensions are checked by the
-    check blocks."""
-    via_weyl = dec.total_dim()
-    via_blocks = dec.summed_block_dims()
-    if via_weyl != via_blocks:
-        raise InconsistentBlockTableError(
-            f"reconstruction mismatch {via_weyl} != {via_blocks} "
-            f"for {dec.spec.key()} degree {dec.degree}",
-            dec.weight_dims,
-        )
+    return Decomposition(wspec, degree, entries, weight_dims)
 
 
 # --- comparison against the closed multiplicity formulas ---------------

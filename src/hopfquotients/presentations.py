@@ -457,12 +457,12 @@ def compute_block(spec: FunctorSpec, weight) -> BlockResult:
 
 def _read_record(path, spec: FunctorSpec, weight):
     """The result a disk-cache file holds for this block, or None when
-    the file is missing, unreadable, stale, malformed, inconsistent or
-    about another block."""
+    the file is missing, unreadable, stale, malformed (nested too deeply
+    to parse included), inconsistent or about another block."""
     try:
         with open(path) as fh:
             record = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(record, dict):
         return None

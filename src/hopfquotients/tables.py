@@ -34,7 +34,10 @@ def load_expected(path=None) -> dict:
     else:
         with open(path) as fh:
             text = fh.read()
-    table = json.loads(text)
+    try:
+        table = json.loads(text)
+    except RecursionError:
+        raise ValueError("expected-table file is nested too deeply to parse") from None
     if not isinstance(table, dict) or not isinstance(table.get("entries"), list):
         raise ValueError("expected-table file has no list of entries")
     for entry in table["entries"]:

@@ -2,7 +2,7 @@
 
 A block basis element is an n-tuple of Hopf basis elements whose
 weights add up to a fixed weight vector.  Operators are formal integer
-combinations of composable atoms:
+combinations of composable words in the atoms
 
     ('swap', i, j)   exchange slots i and j
     ('S', i)         antipode in slot i
@@ -12,8 +12,12 @@ combinations of composable atoms:
     ('ad',)          take the leading letter v off slot 0, leaving r; sum
                      over slots i of r with v * r_i in slot i, minus r
                      with r_i * v in slot i
-    ('E*',), ('F*',), ('ad*',)
-                     the adjoints of E, F and ad (see below)
+
+The relations of presentations are written in these names, but
+apply_atom applies only swap, S, U and the adjoints E*, F* and ad* of
+the three branching atoms E, F and ad (see below): the engine builds
+every row through adjoint().  The forward E, F and ad live in the
+tests, as the reference the starred atoms are checked against.
 
 E and F act on slots 0 and 1 of a tuple of any length; later slots
 pass through unchanged.  ad is the conjugation defect: each block
@@ -45,15 +49,14 @@ into slot 1, with a in slot 0.  ad* writes each slot i as v * w and as
 w * v, and puts v in front of slot 0 of the tuple with w in slot i,
 with the sign ad gives that term.  adjoint(expr) reverses each word and
 stars its atoms, so apply_expr(H, (adjoint(expr),), u)[0] holds at
-each t the coefficient of u in apply_expr(H, (expr,), t)[0].
+each t the coefficient of u in the image of t under expr.
 
 apply_expr is the entry point: it applies a tuple of formal sums to one
 basis tuple and returns one vector per sum.  It walks one prefix tree
 of all their words, so a prefix the sums share is applied once, and
 adds the image of each word into its sum where the word ends.  The
 engine applies the adjoints of a block's relations, all at once, to
-each column (see presentations); the forward E, F and ad are the
-reference the tests check the starred atoms against.
+each column (see presentations).
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ def basis_size(H: HopfAlgebra, n: int, weight) -> int:
 
 
 def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
-    """Apply one atom to a basis tuple; returns a vector over tuples."""
+    """Apply one atom to a basis tuple; returns a vector over tuples.
+    A forward E, F or ad is no atom here: it raises ValueError."""
     kind = atom[0]
     if kind == "swap":
         _, i, j = atom
@@ -147,25 +151,6 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
                     add_into(out, (gen + r[0],) + r[1:], c)
             sign *= flip
         return out
-    if kind == "E":
-        a, b, rest = t[0], t[1], t[2:]
-        return {(a1, H.product(a2, b)) + rest: coeff for a1, a2, coeff in H.coproduct(a)}
-    if kind == "F":
-        a, b, rest = t[0], t[1], t[2:]
-        return {(H.product(a, b1), b2) + rest: coeff for b1, b2, coeff in H.coproduct(b)}
-    if kind == "ad":
-        if H.degree(t[0]) == 0:
-            return {}
-        gen, r = t[0][:1], (t[0][1:],) + t[1:]
-        out = {}
-        sign = 1
-        for i, elem in enumerate(r):
-            # the Koszul sign of moving v past elem
-            flip = -1 if H.odd and len(elem) % 2 else 1
-            add_into(out, r[:i] + (H.product(gen, elem),) + r[i + 1 :], sign)
-            add_into(out, r[:i] + (H.product(elem, gen),) + r[i + 1 :], -sign * flip)
-            sign *= flip
-        return out
     raise ValueError(f"unknown atom {atom!r}")
 
 
@@ -176,8 +161,8 @@ def adjoint(expr) -> tuple:
     """The adjoint of a formal sum of words under the pairing in which the
     basis tuples are orthonormal: each word reversed and its atoms
     starred, swap, S and U being their own adjoints.  So
-    apply_expr(H, (adjoint(expr),), u)[0][t] equals
-    apply_expr(H, (expr,), t)[0][u]."""
+    apply_expr(H, (adjoint(expr),), u)[0][t] is the coefficient of u
+    in the image of t under expr."""
     return tuple(
         (coeff, tuple((_STARRED.get(atom[0], atom[0]),) + atom[1:] for atom in reversed(word)))
         for coeff, word in expr

@@ -1,20 +1,25 @@
 """Reference maps the tests compare the engine against.
 
 counit() and weight() read a basis word's counit and weight vector.
-The two-slot atoms below (gamma, tau, delta, s) and the slot helpers
-(coproduct_into, counit_slot, merge_slots) are written straight from
-the Hopf structure maps; the engine's relations use none of them.  They
-check the engine's atoms (E and F against merge and counit, swap and
-antipode against tau and delta) and the Hopf identities.
+
+apply_atom() adds to the engine's atoms the forward E, F and ad, in
+which the relations are written: the engine applies only their
+adjoints E*, F* and ad*, and the tests check those against these.  It
+also adds four two-slot atoms (gamma, tau, delta, s), which with the
+slot helpers (coproduct_into, counit_slot, merge_slots) are written
+straight from the Hopf structure maps; the relations use none of them.
+They check E and F against merge and counit, swap and antipode against
+tau and delta, and the Hopf identities.
 
 apply_expr() applies one formal sum of words to a tuple, word by word,
 with nothing shared between words: the reference for the engine's
 apply_expr, which walks the words of a whole tuple of sums as one
-prefix tree.  The reference rows below apply it.
+prefix tree, and the forward image that the engine's adjoints are
+checked against.  The reference rows below apply it.
 
 bar_rows() generates the conjugation-defect rows indexed by pairs
 (v, t) of a generator and a tuple one v short of the weight, the
-reference for the engine's ('ad',) word.
+reference for the ('ad',) word.
 
 sign_fold() and sign_block_rows() build a sign block the long way:
 rows of the multilinear block of the even algebra, folded onto orbits
@@ -72,7 +77,9 @@ def weight(H, x) -> tuple:
 
 
 def apply_atom(H, atom, t):
-    """tensorspace.apply_atom, plus four two-slot atoms:
+    """tensorspace.apply_atom, plus the forward branching atoms E, F and
+    ad of the tensorspace docstring, whose adjoints the engine applies,
+    and four two-slot atoms:
 
     ('gamma',)   a (x) b  ->  S(b_1) (x) a S(b_2)
     ('tau',)     a (x) b  ->  b (x) a
@@ -99,6 +106,25 @@ def apply_atom(H, atom, t):
         a, b = t
         sign, elem = H.antipode(b)
         return {(elem, a): sign}
+    if kind == "E":
+        a, b, rest = t[0], t[1], t[2:]
+        return {(a1, H.product(a2, b)) + rest: coeff for a1, a2, coeff in H.coproduct(a)}
+    if kind == "F":
+        a, b, rest = t[0], t[1], t[2:]
+        return {(H.product(a, b1), b2) + rest: coeff for b1, b2, coeff in H.coproduct(b)}
+    if kind == "ad":
+        if H.degree(t[0]) == 0:
+            return {}
+        gen, r = t[0][:1], (t[0][1:],) + t[1:]
+        out = {}
+        sign = 1
+        for i, elem in enumerate(r):
+            # the Koszul sign of moving v past elem
+            flip = -1 if H.odd and len(elem) % 2 else 1
+            add_into(out, r[:i] + (H.product(gen, elem),) + r[i + 1 :], sign)
+            add_into(out, r[:i] + (H.product(elem, gen),) + r[i + 1 :], -sign * flip)
+            sign *= flip
+        return out
     return tensorspace.apply_atom(H, atom, t)
 
 
@@ -117,7 +143,7 @@ def apply_word(H, word, t):
 def apply_expr(H, expr, t):
     """One formal sum of words applied to t, word by word: each word
     carries its image as a list of (tuple, coeff) terms, which every
-    atom maps through tensorspace.apply_atom; the terms of all words
+    atom maps through apply_atom above; the terms of all words
     are summed, and zeros dropped, once at the end.  The reference for
     the engine's shared walk, tensorspace.apply_expr, which applies a
     whole tuple of sums at once."""
@@ -126,7 +152,7 @@ def apply_expr(H, expr, t):
         terms = [(t, coeff)]
         for atom in word:
             terms = [(t2, c * c2) for t1, c in terms
-                     for t2, c2 in tensorspace.apply_atom(H, atom, t1).items()]
+                     for t2, c2 in apply_atom(H, atom, t1).items()]
         for tup, c in terms:
             out[tup] = out.get(tup, 0) + c
     return {tup: c for tup, c in out.items() if c}

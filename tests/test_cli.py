@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from hopfquotients import cli
-from hopfquotients.decompose import InconsistentBlockTableError
+from hopfquotients.decompose import _BOUNDS, InconsistentBlockTableError
 
 CMD = [sys.executable, "-m", "hopfquotients"]
 
@@ -128,9 +128,13 @@ class TestVerify:
 
     def test_garbage_table_file(self, tmp_path):
         path = tmp_path / "garbage.json"
-        path.write_text("not json at all {")
-        res = run("verify", "--against", str(path))
-        assert res.returncode == 2
+        # the second raises RecursionError in json, not ValueError
+        for text in ("not json at all {", "[" * 200000):
+            path.write_text(text)
+            res = run("verify", "--against", str(path))
+            assert res.returncode == 2
+            assert res.stderr.startswith("cannot read expected table")
+            assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
         "table",
@@ -227,6 +231,17 @@ class TestBounds:
     def test_rank_one_rejected_by_parser(self):
         res = run("bounds", "--functor", "H", "--rank", "1", "--degree", "3")
         assert res.returncode == 2
+
+
+    def test_violation_exits_one(self, monkeypatch, capsys):
+        # a closed formula one above every computed multiplicity
+        formula = _BOUNDS[("Omega", 2)]
+        monkeypatch.setitem(_BOUNDS, ("Omega", 2), lambda *lam: formula(*lam) + 1)
+        code = cli.main(["bounds", "--functor", "Omega", "--rank", "2", "--degree", "6"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["ok"] is False
+        assert "VIOLATION" in {row["relation"] for row in report["rows"]}
 
 
 class TestFailedReconstruction:

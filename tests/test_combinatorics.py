@@ -157,15 +157,19 @@ class TestWeylDim:
         assert weyl_dim((2, 1), 3) == 8
 
     def test_against_tableau_count(self):
-        # the dimension is the number of tableaux with entries <= m
-        for n in range(1, 7):
-            for shape in partitions_of(n, n):
-                for m in range(1, 5):
-                    count = sum(
-                        kostka(shape, mu) * _orbit(mu, m)
-                        for mu in partitions_of(n, m)
-                    )
-                    assert weyl_dim(shape, m) == count, (shape, m)
+        # the dimension is the number of tableaux with entries <= m:
+        # weyl_dim(lam, m) = sum_mu K_{lam,mu} * orbit(mu, m), for every
+        # n <= 9 with m <= n + 1 (the tensor cells) and every n <= 20
+        # with m <= 3 (the Sym cells and the bounds range)
+        cases = {(n, m) for n in range(1, 10) for m in range(1, n + 2)}
+        cases |= {(n, m) for n in range(1, 21) for m in range(1, 4)}
+        for n, m in sorted(cases):
+            for shape in partitions_of(n, m):
+                count = sum(
+                    kostka(shape, mu) * _orbit(mu, m)
+                    for mu in partitions_of(n, m)
+                )
+                assert weyl_dim(shape, m) == count, (shape, m)
 
     def test_too_many_rows(self):
         assert weyl_dim((1, 1, 1), 2) == 0

@@ -424,6 +424,16 @@ class TestCaching:
         assert presentations._read_record(path, s, weight) is None
         assert block_result(s, weight, cache_dir=str(tmp_path)) == first
 
+    def test_deeply_nested_record_is_a_miss(self, tmp_path):
+        # json raises RecursionError, not ValueError, on such a file
+        s, weight = spec(H_FUNCTOR, 2, SYM, 2), (3, 1)
+        first = block_result(s, weight, cache_dir=str(tmp_path))
+        path = tmp_path / os.listdir(tmp_path)[0]
+        path.write_text("[" * 200000)
+        presentations._MEM_CACHE.clear()
+        assert presentations._read_record(path, s, weight) is None
+        assert block_result(s, weight, cache_dir=str(tmp_path)) == first
+
     def test_highest_weight_and_weight_blocks_are_cached_apart(self, tmp_path):
         ordinary = spec(OMEGA_FUNCTOR, 3, SYM, 3)
         hw = spec(OMEGA_FUNCTOR, 3, SYM, 3, hw=True)
