@@ -72,21 +72,8 @@ def cmd_bounds(args) -> int:
     spec = FunctorSpec(args.functor, args.rank, HopfAlgebra("sym", 1))
     dec = decompose(spec, args.degree, jobs=args.jobs, cache_dir=args.cache_dir)
     report = verify_bounds(dec)
-    payload = {
-        "functor": args.functor,
-        "rank": args.rank,
-        "hopf": "sym",
-        "degree": args.degree,
-        "rows": [
-            {"partition": list(r.partition), "computed": r.computed,
-             "bound": r.bound, "relation": r.relation}
-            for r in report.rows
-        ],
-        "ok": report.ok,
-        "engine_version": engine_version(),
-    }
-    _emit(payload)
-    return 0 if report.ok else 1
+    _emit(report)
+    return 0 if report["ok"] else 1
 
 
 def _int_at_least(low: int):

@@ -52,6 +52,7 @@ from .combinatorics import (
 )
 from .hopf import SYM
 from .presentations import FunctorSpec, block_cols, block_result, in_memory, remember_block
+from .version import engine_version
 
 VIOLATION = "VIOLATION"
 
@@ -207,25 +208,6 @@ def decompose(
 
 # --- comparison against the closed multiplicity formulas ---------------
 
-@dataclass(frozen=True)
-class BoundRow:
-    partition: tuple
-    computed: int
-    bound: int
-    relation: str
-
-
-@dataclass
-class BoundReport:
-    spec: FunctorSpec
-    degree: int
-    rows: list
-
-    @property
-    def ok(self) -> bool:
-        return all(row.relation != VIOLATION for row in self.rows)
-
-
 # (functor, rank) -> the closed formula, on a partition padded to rank parts
 _BOUNDS = {
     ("H", 2): rank2_multiplicity,
@@ -235,9 +217,10 @@ _BOUNDS = {
 }
 
 
-def verify_bounds(dec: Decomposition) -> BoundReport:
+def verify_bounds(dec: Decomposition) -> dict:
     """Compare computed multiplicities with the predicted ones, for
-    every partition of the degree with at most `rank` rows."""
+    every partition of the degree with at most `rank` rows: the report
+    that `bounds` prints, ok unless a row is a VIOLATION."""
     spec = dec.spec
     if spec.hopf.kind != SYM:
         raise ValueError("multiplicity formulas only cover sym")
@@ -254,5 +237,14 @@ def verify_bounds(dec: Decomposition) -> BoundReport:
             relation = ">"
         else:
             relation = VIOLATION
-        rows.append(BoundRow(lam, computed, bound, relation))
-    return BoundReport(dec.spec, dec.degree, rows)
+        rows.append({"partition": list(lam), "computed": computed, "bound": bound,
+                     "relation": relation})
+    return {
+        "functor": spec.functor,
+        "rank": spec.rank,
+        "hopf": SYM,
+        "degree": dec.degree,
+        "rows": rows,
+        "ok": all(row["relation"] != VIOLATION for row in rows),
+        "engine_version": engine_version(),
+    }

@@ -310,17 +310,17 @@ def semistandard_tableaux(shape, n: int) -> list:
     return tableaux
 
 
-def _bideterminant(tableau, shift) -> dict:
+def _bideterminant(tableau, offsets) -> dict:
     """The product of the column minors of tableau, as a polynomial
-    {packed monomial: coefficient}; shift(s, j) is the bit offset of the
-    exponent of x_{s, j} in a packed monomial."""
+    {packed monomial: coefficient}; offsets[s][j] is the bit offset of
+    the exponent of x_{s, j} in a packed monomial."""
     poly = {0: 1}
     for c in range(len(tableau[0]) if tableau else 0):
         column = [row[c] for row in tableau if len(row) > c]
         minor = {}
         for perm in permutations(range(len(column))):
             inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-            monomial = sum(1 << shift(s, j) for s, j in zip(column, perm))
+            monomial = sum(1 << offsets[s][j] for s, j in zip(column, perm))
             minor[monomial] = (-1) ** inversions
         product: dict = {}
         for a, x in poly.items():
@@ -362,22 +362,21 @@ def _highest_weight_basis(H: HopfAlgebra, n: int, weight: tuple):
     neither their independence nor the projection's rank is certified."""
     if list(weight) != sorted(weight, reverse=True):
         raise ValueError(f"a highest-weight block sits at a partition, not {weight}")
-    m, d = len(weight), sum(weight)
+    d = sum(weight)
     shape = [p for p in weight if p]
     if H.kind == SYM:
         slots, tableaux, cuts = n, semistandard_tableaux(shape, n), [None]
     else:
         slots, tableaux = d, standard_tableaux(shape)
         cuts = [(0,) + c + (d,) for c in combinations_with_replacement(range(d + 1), n - 1)]
-    # room for every exponent up to the degree
+    # the exponent of x_{s, j} has bits bits, room for any exponent up
+    # to the degree, from bit offsets[s][j]; j runs over the len(shape)
+    # letters the shape uses (a tensor cell pads weight to d letters),
+    # and x_{0,0} takes the highest bits, so integer order is lex order
     bits = max(d, 1).bit_length()
     mask = (1 << bits) - 1
-
-    def shift(s, j):
-        # x_{0,0} in the highest bits, so integer order is lex order
-        return (slots * m - 1 - s * m - j) * bits
-
-    offsets = [[shift(s, j) for j in range(m)] for s in range(slots)]
+    k = len(shape)
+    offsets = [[(slots * k - 1 - s * k - j) * bits for j in range(k)] for s in range(slots)]
 
     def tuples(monomial):
         """The block tuples of a monomial, one per cut."""
@@ -390,7 +389,7 @@ def _highest_weight_basis(H: HopfAlgebra, n: int, weight: tuple):
         word = sum(words, ())
         return tuple(tuple(word[a:b] for a, b in zip(cut, cut[1:])) for cut in cuts)
 
-    vectors = [_bideterminant(tableau, shift) for tableau in tableaux]
+    vectors = [_bideterminant(tableau, offsets) for tableau in tableaux]
     # vector i in cut c is basis vector c * len(vectors) + i
     leads = [tuples(max(vector)) for vector in vectors]
     basis = tuple(lead[c] for c in range(len(cuts)) for lead in leads)
@@ -448,8 +447,8 @@ def _cache_path(cache_dir, token: str):
 
 def compute_block(spec: FunctorSpec, weight) -> BlockResult:
     basis, rows = relation_rows(spec, weight)
-    # hand the rows over one at a time, in order, so that each packed
-    # row is freed as soon as rank_distinct has normalized it
+    # hand the rows over one at a time, in order, so that each row is
+    # freed as soon as rank_distinct has normalized it
     rows.reverse()
     rank = rank_distinct(rows.pop() for _ in range(len(rows)))
     return BlockResult(len(basis), rank)

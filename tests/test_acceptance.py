@@ -144,8 +144,8 @@ def test_criterion_06_rank3_finer_bounds(capsys):
     with criterion(capsys, 6, "rank-3 finer multiplicities equal their bound in even degrees 4-8"):
         for degree in (4, 6, 8):
             report = verify_bounds(decompose(spec(H_FUNCTOR, 3, SYM), degree, jobs=JOBS))
-            assert report.ok
-            strict = [r for r in report.rows if r.relation != "="]
+            assert report["ok"]
+            strict = [r for r in report["rows"] if r["relation"] != "="]
             assert strict == [], (degree, strict)
 
 
@@ -156,10 +156,10 @@ def test_criterion_07_rank3_coarser_bounds(capsys):
             for degree in (4, 6, 8)
         }
         for degree, report in reports.items():
-            assert report.ok, (degree, [r for r in report.rows if r.relation == "VIOLATION"])
-        row62 = next(r for r in reports[8].rows if r.partition == (6, 2))
-        assert row62.bound == 2
-        assert row62.relation == "="
+            assert report["ok"], (degree, [r for r in report["rows"] if r["relation"] == "VIOLATION"])
+        row62 = next(r for r in reports[8]["rows"] if r["partition"] == [6, 2])
+        assert row62["bound"] == 2
+        assert row62["relation"] == "="
 
 
 def test_criterion_08_arithmetic_cohomology_oracle(capsys):

@@ -1,13 +1,19 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hopfquotients import cli
 from hopfquotients.decompose import _BOUNDS, InconsistentBlockTableError
+from hopfquotients.version import engine_version
 
 CMD = [sys.executable, "-m", "hopfquotients"]
+# bounds stdout, engine_version removed, at H and Omega ranks 2 and 3,
+# degrees 8 and 9, and H rank 3 degree 12
+PINNED_BOUNDS = json.loads(
+    (Path(__file__).parent / "data" / "bounds-payloads.json").read_text())["payloads"]
 
 
 def run(*args, **kw):
@@ -242,6 +248,16 @@ class TestBounds:
         assert code == 1
         assert report["ok"] is False
         assert "VIOLATION" in {row["relation"] for row in report["rows"]}
+
+    @pytest.mark.parametrize("pinned", PINNED_BOUNDS,
+                             ids=lambda p: f"{p['functor']}-{p['rank']}-{p['degree']}")
+    def test_payload_is_pinned(self, capsys, pinned):
+        code = cli.main(["bounds", "--functor", pinned["functor"], "--rank", str(pinned["rank"]),
+                         "--degree", str(pinned["degree"])])
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("engine_version") == engine_version()
+        assert report == pinned
+        assert code == (0 if pinned["ok"] else 1)
 
 
 class TestFailedReconstruction:

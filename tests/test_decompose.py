@@ -24,15 +24,6 @@ def spec(functor, rank, kind):
     return FunctorSpec(functor, rank, HopfAlgebra(kind, 1))
 
 
-@pytest.fixture
-def clean_cache():
-    """An empty memory cache, emptied again afterwards, so that block
-    results doctored or computed in a test do not reach other tests."""
-    presentations._MEM_CACHE.clear()
-    yield
-    presentations._MEM_CACHE.clear()
-
-
 class TestHelpers:
     def test_default_num_vars(self):
         assert default_num_vars(spec(H_FUNCTOR, 3, SYM), 7) == 3
@@ -129,12 +120,12 @@ class TestDecompositionShape:
         for s in (spec(OMEGA_FUNCTOR, 2, SYM), spec(H_FUNCTOR, 2, TENSOR)):
             serial = decompose(s, 5, jobs=1)
             # else the parallel call finds every block cached and starts no pool
-            presentations._MEM_CACHE.clear()
+            clean_cache()
             parallel = decompose(s, 5, jobs=2)
             assert serial.entries == parallel.entries
             assert serial.weight_dims == parallel.weight_dims
 
-    def test_pool_results_reach_the_parent_cache(self, monkeypatch, clean_cache):
+    def test_pool_results_reach_the_parent_cache(self, monkeypatch):
         s = spec(H_FUNCTOR, 2, TENSOR)
         first = decompose(s, 4, jobs=2)
         hw = replace(first.spec, highest_weight=True)
@@ -178,7 +169,7 @@ class TestDecompositionShape:
 
         s = spec(OMEGA_FUNCTOR, 2, TENSOR)
         serial = decompose(s, 5)
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         pooled = decompose(s, 5, jobs=2)
         sizes = [block_cols(bspec, weight) for bspec, weight, _ in handed]
@@ -190,7 +181,7 @@ class TestDecompositionShape:
         assert pooled.weight_dims == serial.weight_dims
         # degree 1 has a single HW block: no pool
         handed.clear()
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         decompose(s, 1, jobs=2)
         assert handed == []
 
@@ -265,12 +256,12 @@ class TestTwoEndedSolve:
 
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_doctored_odd_hw_block_rejected(self, monkeypatch, clean_cache, functor, delta):
+    def test_doctored_odd_hw_block_rejected(self, monkeypatch, functor, delta):
         self.doctor(monkeypatch, delta)
         with pytest.raises(InconsistentBlockTableError, match="check block .*odd"):
             decompose(spec(functor, 2, TENSOR), 4)
 
-    def test_doctored_odd_hw_block_exits_one(self, monkeypatch, capsys, clean_cache):
+    def test_doctored_odd_hw_block_exits_one(self, monkeypatch, capsys):
         self.doctor(monkeypatch, -1)
         code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "tensor",
                          "--degree", "4"])
@@ -298,7 +289,7 @@ class TestHighestWeightSolve:
     def test_jobs_give_the_serial_result_and_fill_the_parent_cache(self, monkeypatch, clean_cache):
         s = spec(OMEGA_FUNCTOR, 3, SYM)
         serial = decompose(s, 6)
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         parallel = decompose(s, 6, jobs=2)
         assert parallel.entries == serial.entries
         assert parallel.weight_dims == serial.weight_dims
@@ -335,12 +326,12 @@ class TestHighestWeightSolve:
     # block at (4, 1, 1) sees (6), (5, 1), (4, 2) and (4, 1, 1)
     @pytest.mark.parametrize("partition", [(6, 0, 0), (5, 1, 0), (4, 2, 0), (4, 1, 1)])
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_doctored_hw_block_rejected(self, monkeypatch, clean_cache, partition, delta):
+    def test_doctored_hw_block_rejected(self, monkeypatch, partition, delta):
         self.doctor(monkeypatch, partition, delta)
         with pytest.raises(InconsistentBlockTableError, match="check block"):
             decompose(spec(OMEGA_FUNCTOR, 3, SYM), 6)
 
-    def test_doctored_hw_block_exits_one(self, monkeypatch, capsys, clean_cache):
+    def test_doctored_hw_block_exits_one(self, monkeypatch, capsys):
         self.doctor(monkeypatch, (5, 1, 0), -1)
         code = cli.main(["compute", "--functor", "Omega", "--rank", "3", "--hopf", "sym",
                          "--degree", "6"])
@@ -372,22 +363,22 @@ class TestReconstructionGuard:
 class TestBounds:
     def test_coarser_rank2_equalities(self):
         report = verify_bounds(decompose(spec(OMEGA_FUNCTOR, 2, SYM), 6))
-        assert report.ok
-        assert {row.relation for row in report.rows} == {"="}
-        by_part = {row.partition: row for row in report.rows}
-        assert by_part[(5, 1)].computed == by_part[(5, 1)].bound == 2
-        assert by_part[(3, 3)].computed == 0
+        assert report["ok"]
+        assert {row["relation"] for row in report["rows"]} == {"="}
+        by_part = {tuple(row["partition"]): row for row in report["rows"]}
+        assert by_part[(5, 1)]["computed"] == by_part[(5, 1)]["bound"] == 2
+        assert by_part[(3, 3)]["computed"] == 0
 
     def test_finer_rank3_equalities(self):
         report = verify_bounds(decompose(spec(H_FUNCTOR, 3, SYM), 6))
-        assert report.ok
-        assert all(row.relation == "=" for row in report.rows)
+        assert report["ok"]
+        assert all(row["relation"] == "=" for row in report["rows"])
 
     def test_strict_rows_marked(self):
         # coarser rank-3 in odd degree exceeds its bound somewhere
         report = verify_bounds(decompose(spec(OMEGA_FUNCTOR, 3, SYM), 5))
-        assert report.ok
-        assert any(row.relation == ">" for row in report.rows)
+        assert report["ok"]
+        assert any(row["relation"] == ">" for row in report["rows"])
 
     def test_violation_label_exists(self):
         assert VIOLATION == "VIOLATION"

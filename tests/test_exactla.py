@@ -32,7 +32,7 @@ class TestNormalizeRow:
         assert _normalize_row({5: 0}) == {}
 
 
-class TestSparseMatrix:
+class TestRankDistinct:
     """rank_distinct, the normalize-and-dedup step in front of rank_sparse."""
 
     def test_dedup(self, monkeypatch):
@@ -91,7 +91,7 @@ class TestSparseAgainstDense:
             rows = random_rows(rng, nrows, ncols)
             assert rank_sparse(rows) == rank_dense(rows, ncols), rows
 
-    def test_big_coefficients_trigger_strip(self):
+    def test_coefficients_beyond_a_machine_word(self):
         # entries far beyond a machine word, before elimination grows them
         rng = random.Random(7)
         rows = random_rows(rng, 6, 6, density=0.8, lo=-(10**25), hi=10**25)

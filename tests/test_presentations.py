@@ -56,8 +56,8 @@ def weights(max_degree):
 
 
 def assert_rows_match_up_to_signs(basis, rows, reference):
-    """rows, packed over basis, equal the reference rows (dicts over
-    basis tuples) in order, once column c is multiplied by
+    """rows, dicts over indices into basis, equal the reference rows
+    (dicts over basis tuples) in order, once column c is multiplied by
     (-1)^inv(basis[c]) and each row by one sign: inv counts inversions
     of the tuple's letters in reading order.  This is the change of
     basis between the sign-isotypic part of the multilinear block and
@@ -221,49 +221,62 @@ class TestHighestWeightBlocks:
             m = len(weight)
             lam = [p for p in weight if p]
             if kind == SYM:
-                slots, tableaux = n, semistandard_tableaux(lam, n)
+                tableaux = semistandard_tableaux(lam, n)
                 assert len(tableaux) == weyl_dim(lam, n)
                 cuts = 1
             else:
-                slots, tableaux = sum(lam), standard_tableaux(lam)
+                tableaux = standard_tableaux(lam)
                 assert len(set(tableaux)) == len(tableaux)
                 for tableau in tableaux:
-                    assert sorted(sum(tableau, ())) == list(range(slots))
+                    assert sorted(sum(tableau, ())) == list(range(sum(lam)))
                     assert all(list(row) == sorted(row) for row in tableau)
                     assert all(a < b for upper, lower in zip(tableau, tableau[1:])
                                for a, b in zip(upper, lower))
-                cuts = comb(slots + n - 1, n - 1)
-            assert cuts * len(tableaux) == block_cols(spec(H_FUNCTOR, n, kind, m, hw=True), weight)
-            # the packing _highest_weight_rows uses: x_{0,0} in the highest bits
-            bits = max(sum(weight), 1).bit_length()
-            offsets = [[(slots * m - 1 - s * m - j) * bits for j in range(m)] for s in range(slots)]
-            leads = set()
-            for tableau in tableaux:
-                poly = presentations._bideterminant(tableau, lambda s, j: offsets[s][j])
-                # each monomial as its slots x m exponent matrix
-                terms = {tuple(tuple((key >> at) % (1 << bits) for at in row) for row in offsets): c
-                         for key, c in poly.items()}
-                for e in terms:
-                    assert tuple(sum(row[j] for row in e) for j in range(m)) == weight
-                # the raising operators sum_s x_{s,j} d/dx_{s,j+1} kill it
+                cuts = comb(sum(lam) + n - 1, n - 1)
+            s = spec(H_FUNCTOR, n, kind, m, hw=True)
+            assert cuts * len(tableaux) == block_cols(s, weight)
+            basis, support = presentations._highest_weight_basis(s.hopf, n, weight)
+            # the engine's vectors, regrouped from support, are the
+            # reference expansion, cut by cut and tableau by tableau
+            vectors = [{} for _ in basis]
+            for t, coeffs in support.items():
+                for i, x in coeffs:
+                    vectors[i][t] = x
+            assert vectors == hw_vectors(s, weight)
+            for i, vector in enumerate(vectors):
+                tableau = tableaux[i % len(tableaux)]
+                for t in vector:
+                    assert tuple(sum(word.count(j) for word in t) for j in range(m)) == weight
+                # the raising operators sum_s x_{s,j} d/dx_{s,j+1} kill it:
+                # each letter j + 1 in turn becomes j
                 for j in range(m - 1):
                     raised = {}
-                    for e, c in terms.items():
-                        for s in range(slots):
-                            if e[s][j + 1]:
-                                row = list(e[s])
-                                row[j] += 1
-                                row[j + 1] -= 1
-                                key = e[:s] + (tuple(row),) + e[s + 1:]
-                                raised[key] = raised.get(key, 0) + c * e[s][j + 1]
+                    for t, c in vector.items():
+                        for a, word in enumerate(t):
+                            for p, x in enumerate(word):
+                                if x == j + 1:
+                                    new = word[:p] + (j,) + word[p + 1:]
+                                    if kind == SYM:
+                                        new = tuple(sorted(new))
+                                    key = t[:a] + (new,) + t[a + 1:]
+                                    raised[key] = raised.get(key, 0) + c
                     assert not any(raised.values()), (tableau, j)
-                # the leading monomial is the diagonal: slot s row r counts
-                # the s in row r of the tableau, with coefficient 1
-                diagonal = tuple(tuple(row.count(s) for row in tableau) + (0,) * (m - len(tableau))
-                                 for s in range(slots))
-                assert terms[max(terms)] == 1 and max(terms) == diagonal
-                leads.add(diagonal)
-            assert len(leads) == len(tableaux)
+                # the leading tuple is the diagonal, with coefficient 1:
+                # over sym slot s holds letter r once per s in row r of the
+                # tableau, over the tensor algebra position p holds the row
+                # of p, in the vector's cut
+                lead = max(vector, key=lambda t: lead_key(s, t))
+                if kind == SYM:
+                    diagonal = tuple(tuple(r for r, row in enumerate(tableau)
+                                           for _ in range(row.count(slot))) for slot in range(n))
+                else:
+                    row_of = {p: r for r, row in enumerate(tableau) for p in row}
+                    word = tuple(row_of[p] for p in range(sum(lam)))
+                    ends = [sum(map(len, lead[:a + 1])) for a in range(n)]
+                    diagonal = tuple(word[end - len(w):end] for end, w in zip(ends, lead))
+                assert lead == diagonal and vector[lead] == 1, (tableau, lead)
+                assert basis[i] == lead
+            assert len(set(basis)) == len(basis)
 
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
     def test_projection_keeps_the_rank(self, functor):
@@ -296,7 +309,10 @@ class TestHighestWeightBlocks:
             relation_rows(spec(H_FUNCTOR, 2, SYM, 2, hw=True), (1, 3))
 
     def test_dependent_basis_is_refused(self, monkeypatch):
-        monkeypatch.setattr(presentations, "_bideterminant", lambda tableau, shift: {1: 1})
+        # one tableau twice gives two vectors with one leading tuple
+        tableaux = semistandard_tableaux((3, 1), 2)
+        monkeypatch.setattr(presentations, "semistandard_tableaux",
+                            lambda shape, n: tableaux + tableaux[:1])
         with pytest.raises(AssertionError, match="leading monomial"):
             relation_rows(spec(H_FUNCTOR, 2, SYM, 2, hw=True), (3, 1))
 
@@ -343,9 +359,6 @@ _HW_MANGLES = {
 
 
 class TestCaching:
-    def setup_method(self):
-        presentations._MEM_CACHE.clear()
-
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
     def test_block_cols_counts_the_basis(self, functor):
         # _read_record checks a record's ambient_dim against block_cols
@@ -353,7 +366,7 @@ class TestCaching:
             assert block_cols(s, weight) == len(relation_rows(s, weight)[0]), (s.key(), weight)
 
     @pytest.mark.parametrize("odd", [False, True])
-    def test_tensor_hw_record_reads_back(self, tmp_path, odd):
+    def test_tensor_hw_record_reads_back(self, clean_cache, tmp_path, odd):
         s, weight = spec(OMEGA_FUNCTOR, 2, TENSOR, 4, odd=odd, hw=True), (2, 1, 1, 0)
         first = block_result(s, weight, cache_dir=str(tmp_path))
         (path,) = tmp_path.iterdir()
@@ -363,10 +376,10 @@ class TestCaching:
         path.write_text(json.dumps({**record, "ambient_dim": record["ambient_dim"] + 1,
                                     "quotient_dim": record["quotient_dim"] + 1}))
         assert presentations._read_record(path, s, weight) is None
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         assert block_result(s, weight, cache_dir=str(tmp_path)) == first
 
-    def test_disk_roundtrip(self, tmp_path, monkeypatch):
+    def test_disk_roundtrip(self, clean_cache, tmp_path, monkeypatch):
         s = spec(H_FUNCTOR, 2, SYM, 2)
         first = block_result(s, (3, 1), cache_dir=str(tmp_path))
         files = os.listdir(tmp_path)
@@ -375,7 +388,7 @@ class TestCaching:
         assert record["quotient_dim"] == first.quotient_dim
         assert record["block"] == "H|2|sym|2|3,1"
 
-        presentations._MEM_CACHE.clear()
+        clean_cache()
 
         def boom(*a, **k):
             raise AssertionError("should have come from disk")
@@ -384,7 +397,7 @@ class TestCaching:
         again = block_result(s, (3, 1), cache_dir=str(tmp_path))
         assert again == first
 
-    def test_stale_version_recomputed(self, tmp_path):
+    def test_stale_version_recomputed(self, clean_cache, tmp_path):
         s = spec(H_FUNCTOR, 2, SYM, 2)
         block_result(s, (3, 1), cache_dir=str(tmp_path))
         path = tmp_path / os.listdir(tmp_path)[0]
@@ -392,7 +405,7 @@ class TestCaching:
         record["engine_version_hash"] = "0" * 12
         record["rank"] = 12345
         path.write_text(json.dumps(record))
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         fresh = block_result(s, (3, 1), cache_dir=str(tmp_path))
         assert fresh.rank != 12345
 
@@ -414,27 +427,27 @@ class TestCaching:
         + [(_HW_MANGLES[name], True) for name in _HW_MANGLES],
         ids=list(_MANGLES) + [f"hw-{name}" for name in _MANGLES] + list(_HW_MANGLES),
     )
-    def test_malformed_record_is_a_miss(self, tmp_path, mangle, hw):
+    def test_malformed_record_is_a_miss(self, clean_cache, tmp_path, mangle, hw):
         s, weight = (spec(H_FUNCTOR, 3, SYM, 3, hw=True), (3, 1, 0)) if hw else (
             spec(H_FUNCTOR, 2, SYM, 2), (3, 1))
         first = block_result(s, weight, cache_dir=str(tmp_path))
         path = tmp_path / os.listdir(tmp_path)[0]
         path.write_text(json.dumps(mangle(json.loads(path.read_text()))))
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         assert presentations._read_record(path, s, weight) is None
         assert block_result(s, weight, cache_dir=str(tmp_path)) == first
 
-    def test_deeply_nested_record_is_a_miss(self, tmp_path):
+    def test_deeply_nested_record_is_a_miss(self, clean_cache, tmp_path):
         # json raises RecursionError, not ValueError, on such a file
         s, weight = spec(H_FUNCTOR, 2, SYM, 2), (3, 1)
         first = block_result(s, weight, cache_dir=str(tmp_path))
         path = tmp_path / os.listdir(tmp_path)[0]
         path.write_text("[" * 200000)
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         assert presentations._read_record(path, s, weight) is None
         assert block_result(s, weight, cache_dir=str(tmp_path)) == first
 
-    def test_highest_weight_and_weight_blocks_are_cached_apart(self, tmp_path):
+    def test_highest_weight_and_weight_blocks_are_cached_apart(self, clean_cache, tmp_path):
         ordinary = spec(OMEGA_FUNCTOR, 3, SYM, 3)
         hw = spec(OMEGA_FUNCTOR, 3, SYM, 3, hw=True)
         weight = (4, 2, 0)
@@ -453,11 +466,11 @@ class TestCaching:
         texts = [path.read_text() for path in paths]
         paths[0].write_text(texts[1])
         paths[1].write_text(texts[0])
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         assert block_result(ordinary, weight, cache_dir=str(tmp_path)) == a
         assert block_result(hw, weight, cache_dir=str(tmp_path)) == b
 
-    def test_sign_and_ordinary_blocks_are_cached_apart(self, tmp_path):
+    def test_sign_and_ordinary_blocks_are_cached_apart(self, clean_cache, tmp_path):
         ordinary = spec(OMEGA_FUNCTOR, 2, TENSOR, 4)
         sign = spec(OMEGA_FUNCTOR, 2, TENSOR, 4, odd=True)
         weight = (2, 1, 1, 0)
@@ -476,7 +489,7 @@ class TestCaching:
         texts = [path.read_text() for path in paths]
         paths[0].write_text(texts[1])
         paths[1].write_text(texts[0])
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         assert block_result(ordinary, weight, cache_dir=str(tmp_path)) == a
         assert block_result(sign, weight, cache_dir=str(tmp_path)) == b
 
@@ -513,8 +526,9 @@ def row_set_digest(s, weight):
 
 
 def row_order_digest(s, weight):
-    """sha256 of the packed relation rows in the order they are
-    generated, before normalization and dedup."""
+    """sha256 of the relation rows, each as its sorted (column,
+    coefficient) pairs, in the order they are generated, before
+    normalization and dedup."""
     _, rows = relation_rows(s, weight)
     packed = [sorted(row.items()) for row in rows]
     return hashlib.sha256(repr(packed).encode()).hexdigest()

@@ -152,7 +152,7 @@ class TestOnePool:
     """verify_against computes all its cells on one pool and leaves no
     worker behind, also when a worker's block raises."""
 
-    def test_one_pool_per_verify_run(self, table, monkeypatch):
+    def test_one_pool_per_verify_run(self, clean_cache, table, monkeypatch):
         serial = verify_against(table, rank=2, hopf="tensor", max_degree=5)
         real_pool = multiprocessing.Pool
         started = []
@@ -162,18 +162,19 @@ class TestOnePool:
             return real_pool(*args, **kwargs)
 
         # else every block is cached and the pool gets no work
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         monkeypatch.setattr(multiprocessing, "Pool", counted)
         assert verify_against(table, rank=2, hopf="tensor", max_degree=5, jobs=2) == serial
         assert started == [(2,)]
         assert multiprocessing.active_children() == []
 
-    def test_pool_written_records_serve_a_serial_run(self, table, tmp_path, monkeypatch):
+    def test_pool_written_records_serve_a_serial_run(self, clean_cache, table, tmp_path,
+                                                     monkeypatch):
         # a memory hit writes no record, so every block starts a miss
-        monkeypatch.setattr(presentations, "_MEM_CACHE", {})
+        clean_cache()
         pooled = verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=2,
                                 cache_dir=str(tmp_path))
-        monkeypatch.setattr(presentations, "_MEM_CACHE", {})
+        clean_cache()
 
         def boom(*args, **kwargs):
             raise AssertionError("should have come from disk")
@@ -182,7 +183,7 @@ class TestOnePool:
         assert verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=1,
                               cache_dir=str(tmp_path)) == pooled
 
-    def test_a_worker_error_reaches_the_caller(self, table, tmp_path):
+    def test_a_worker_error_reaches_the_caller(self, clean_cache, table, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
         # one cell of several HW blocks, so that its blocks all go to the
@@ -190,7 +191,7 @@ class TestOnePool:
         one_cell = {"entries": [e for e in entries_in_scope(table, functor="H", rank=2,
                                                             hopf="tensor")
                                 if e["degree"] == 4]}
-        presentations._MEM_CACHE.clear()
+        clean_cache()
         with pytest.raises(FileExistsError) as raised:
             verify_against(one_cell, jobs=2, cache_dir=str(not_a_dir))
         assert isinstance(raised.value.__cause__, RemoteTraceback)
