@@ -61,14 +61,15 @@ many columns as basis vectors.
 Every block builds its rows from its columns.  The entry of the row of
 relation R and vector v at column u is <R v, u>, in the pairing in
 which the block's tuples are orthonormal, and <R t, u> = <t, R* u> for
-the adjoint R* of tensorspace.  So each column tuple u is applied once
-per block, through the adjoints of all its relations in one walk of a
-prefix tree of their words (tensorspace.apply_expr), and each tuple t
-of the image under R* adds into the rows of relation R of the vectors
-whose support holds t.  The vectors of a weight block are its basis
-tuples themselves.  An HW block so costs its columns, not its support,
-a word prefix the relations share is applied once per column, and no
-image term outside the kept columns is built.
+the adjoint R* of tensorspace.  So all the column tuples of a block
+go through the adjoints of all its relations in one walk of a prefix
+tree of their words (tensorspace.apply_expr), and each tuple t of the
+image under R* adds the entries of the columns it comes from into the
+rows of relation R of the vectors whose support holds t.  The vectors
+of a weight block are its basis tuples themselves.  An HW block so
+costs its columns, not its support, a word prefix the relations share
+is applied once per tuple that reaches it, however many columns do,
+and no image term outside the kept columns is built.
 """
 
 from __future__ import annotations
@@ -247,8 +248,8 @@ def relation_rows(spec: FunctorSpec, weight):
     rows come vector by vector and, for each vector, relation by
     relation in the order of block_relations, the conjugation defect
     first over the tensor algebra: the nonzero images of the vector,
-    projected onto the tuples of basis.  _block_rows builds them one
-    column at a time.
+    projected onto the tuples of basis.  _block_rows builds them from
+    all the columns at once.
     """
     H = spec.hopf
     weight = tuple(weight)
@@ -269,28 +270,32 @@ def _block_rows(H: HopfAlgebra, exprs, basis, support) -> list:
     Row (i, R) holds at column u the coefficient of u in R applied to
     vector i, the sum over t of x * <R t, u>.  The adjoint gives <R t,
     u> for every t at once from u, as the image of u under adjoint(R).
-    So each column is applied once, in one apply_expr call that walks
-    the words of all the adjoints as one tree and returns one image per
-    relation, and the entries of each image are added into the rows of
-    that relation of every vector whose support holds t.  The rows
-    come vector by vector and relation by relation, in the order of
-    exprs, as dict-vectors over column indices, zero rows dropped."""
+    So the whole basis goes through one apply_expr call, which walks the
+    words of all the adjoints as one tree, once for all the columns, and
+    returns one image per relation: each tuple t with the columns u and
+    the <R t, u> it holds.  These are added into the rows of that
+    relation of every vector whose support holds t.  The rows come
+    vector by vector and relation by relation, in the order of exprs,
+    as dict-vectors over column indices in ascending order, zero rows
+    dropped."""
     stars = tuple(adjoint(expr) for expr in exprs)
-    # row sums, vector by vector and relation by relation
-    sums = [{} for _ in range(len(basis) * len(stars))]
-    for col, u in enumerate(basis):
-        for r, image in enumerate(apply_expr(H, stars, u)):
-            for t, v in image.items():
-                for i, x in support.get(t, ()):
-                    row = sums[i * len(stars) + r]
-                    row[col] = row.get(col, 0) + x * v
+    images = apply_expr(H, stars, basis)
     # memoized transposes live for one block, so the cache never grows
     # with the length of a run
     _coproduct_transpose.cache_clear()
+    # row sums, vector by vector and relation by relation
+    sums = [{} for _ in range(len(basis) * len(stars))]
+    for r, image in enumerate(images):
+        # free each image once its entries are in the rows
+        images[r] = None
+        for t, cols in image.items():
+            for i, x in support.get(t, ()):
+                row = sums[i * len(stars) + r]
+                for col, v in cols.items():
+                    row[col] = row.get(col, 0) + x * v
     rows = []
     for row in sums:
-        if 0 in row.values():
-            row = {col: v for col, v in row.items() if v}
+        row = {col: row[col] for col in sorted(row) if row[col]}
         if row:
             rows.append(row)
     return rows

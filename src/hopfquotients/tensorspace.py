@@ -48,15 +48,18 @@ with b in slot 1.  F* writes slot 0 as a * p and sends p (x) slot 1
 into slot 1, with a in slot 0.  ad* writes each slot i as v * w and as
 w * v, and puts v in front of slot 0 of the tuple with w in slot i,
 with the sign ad gives that term.  adjoint(expr) reverses each word and
-stars its atoms, so apply_expr(H, (adjoint(expr),), u)[0] holds at
-each t the coefficient of u in the image of t under expr.
+stars its atoms, so apply_expr(H, (adjoint(expr),), [u])[0] maps each
+t to {0: the coefficient of u in the image of t under expr}.
 
-apply_expr is the entry point: it applies a tuple of formal sums to one
-basis tuple and returns one vector per sum.  It walks one prefix tree
-of all their words, so a prefix the sums share is applied once, and
-adds the image of each word into its sum where the word ends.  The
-engine applies the adjoints of a block's relations, all at once, to
-each column (see presentations).
+apply_expr is the entry point: it applies a tuple of formal sums to a
+list of basis tuples, the columns, and returns one image per sum, each
+image tuple with the columns it comes from.  It walks one prefix tree
+of all their words once for all the columns, so a prefix the sums
+share is applied once, and a tuple that many columns reach at a node
+goes through apply_atom once.  The image of each word is added into
+its sum where the word ends.  The engine applies the adjoints of a
+block's relations, all at once, to all of the block's columns (see
+presentations).
 """
 
 from __future__ import annotations
@@ -161,8 +164,8 @@ def adjoint(expr) -> tuple:
     """The adjoint of a formal sum of words under the pairing in which the
     basis tuples are orthonormal: each word reversed and its atoms
     starred, swap, S and U being their own adjoints.  So
-    apply_expr(H, (adjoint(expr),), u)[0][t] is the coefficient of u
-    in the image of t under expr."""
+    apply_expr(H, (adjoint(expr),), [u])[0][t][0] is the coefficient of
+    u in the image of t under expr."""
     return tuple(
         (coeff, tuple((_STARRED.get(atom[0], atom[0]),) + atom[1:] for atom in reversed(word)))
         for coeff, word in expr
@@ -186,38 +189,84 @@ def _word_tree(exprs) -> tuple:
     return root
 
 
-def _walk(H: HopfAlgebra, node: tuple, terms: list, out: list) -> None:
-    """Add terms, the image of the node's prefix as (tuple, coeff)
-    pairs, into the sums of the words that end at node, and walk on
-    into its children."""
+# atoms that send a tuple to at most one tuple, and no two tuples to the
+# same one
+_MONOMIAL = frozenset(("swap", "S", "U"))
+
+
+def _walk(H: HopfAlgebra, node: tuple, state: dict, out: list) -> None:
+    """Add state, the image of the node's prefix, into the sums of the
+    words that end at node, and walk on into its children.  state maps
+    each tuple the prefix reaches to (scale, payload): the tuple's
+    coefficient in the image of column j is scale * payload[j]."""
     leaves, children = node
     for r, coeff in leaves:
-        vec = out[r]
-        for tup, c in terms:
-            vec[tup] = vec.get(tup, 0) + coeff * c
+        image = out[r]
+        for t, (scale, payload) in state.items():
+            c = coeff * scale
+            acc = image.get(t)
+            if acc is None:
+                image[t] = dict(payload) if c == 1 else {j: c * x for j, x in payload.items()}
+            else:
+                for j, x in payload.items():
+                    acc[j] = acc.get(j, 0) + c * x
     for atom, child in children.items():
-        nxt = [(t2, c * c2) for t1, c in terms for t2, c2 in apply_atom(H, atom, t1).items()]
+        nxt: dict = {}
+        if atom[0] in _MONOMIAL:
+            # a one-to-one image: re-key each payload, shared, and scale it
+            for t, (scale, payload) in state.items():
+                for t2, c in apply_atom(H, atom, t).items():
+                    nxt[t2] = (scale * c, payload)
+        else:
+            # tuples merge: sum their payloads into fresh dicts
+            for t, (scale, payload) in state.items():
+                for t2, c in apply_atom(H, atom, t).items():
+                    c *= scale
+                    acc = nxt.get(t2)
+                    if acc is None:
+                        nxt[t2] = (1, {j: c * x for j, x in payload.items()})
+                    else:
+                        acc = acc[1]
+                        for j, x in payload.items():
+                            acc[j] = acc.get(j, 0) + c * x
         if nxt:
             _walk(H, child, nxt, out)
 
 
-def apply_expr(H: HopfAlgebra, exprs: tuple, t: tuple) -> list:
+def apply_expr(H: HopfAlgebra, exprs: tuple, tuples) -> list:
     """exprs is a tuple of formal sums, each a tuple of (coeff, word)
-    pairs; returns the list of their images of t, one vector per sum.
+    pairs, and tuples a sequence of basis tuples, the columns; returns
+    one image per sum, a dict that maps each tuple t of the images to
+    {j: coefficient of t in the sum applied to tuples[j]}.
 
     The words of all the sums share one prefix tree (_word_tree), walked
-    once: the image of each prefix is built once, as a list of (tuple,
-    coeff) terms that every atom maps through apply_atom, and added into
-    the sum of every word that ends there.  Zeros are dropped once at
-    the end.  This is exact by linearity.  Two sums that share the
-    prefix swap(0, 1) apply it once:
+    once for all the columns.  At each node the walk holds each distinct
+    tuple the prefix reaches once, with the columns that reach it, so
+    each goes through apply_atom once however many columns share it.
+    swap, S and U hand a tuple's columns on unchanged, up to a sign;
+    E*, F* and ad* merge those of the tuples they map together.  Zeros
+    are dropped once at the end.  This is exact by linearity.  Two sums
+    that share the prefix swap(0, 1) apply it once to each of the two
+    columns, and once to the tuple that column 2 repeats:
 
     >>> from hopfquotients.hopf import TENSOR
     >>> H = HopfAlgebra(TENSOR, 2)
     >>> swap, S0 = ("swap", 0, 1), ("S", 0)
-    >>> apply_expr(H, (((1, (swap,)),), ((1, (swap, S0)), (-1, ()))), ((0,), (1,)))
-    [{((1,), (0,)): 1}, {((0,), (1,)): -1, ((1,), (0,)): -1}]
+    >>> exprs = (((1, (swap,)),), ((1, (swap, S0)),))
+    >>> apply_expr(H, exprs, [((0,), (1,)), ((1,), (0,)), ((0,), (1,))])
+    [{((1,), (0,)): {0: 1, 2: 1}, ((0,), (1,)): {1: 1}}, {((1,), (0,)): {0: -1, 2: -1}, ((0,), (1,)): {1: -1}}]
     """
     out: list = [{} for _ in exprs]
-    _walk(H, _word_tree(exprs), [(t, 1)], out)
-    return [{tup: c for tup, c in vec.items() if c} for vec in out]
+    state: dict = {}
+    for j, t in enumerate(tuples):
+        state.setdefault(t, (1, {}))[1][j] = 1
+    _walk(H, _word_tree(exprs), state, out)
+    for image in out:
+        for t, cols in list(image.items()):
+            if 0 in cols.values():
+                cols = {j: x for j, x in cols.items() if x}
+                if cols:
+                    image[t] = cols
+                else:
+                    del image[t]
+    return out

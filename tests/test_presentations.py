@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from math import comb
 from pathlib import Path
@@ -39,7 +40,7 @@ from hopfquotients.presentations import (
 )
 from hopfquotients import tensorspace
 from hopfquotients.hopf import _coproduct_transpose
-from hopfquotients.tensorspace import adjoint
+from hopfquotients.tensorspace import adjoint, tensor_basis
 
 
 def spec(functor, rank, kind, m, odd=False, hw=False):
@@ -594,18 +595,19 @@ class TestRowsFromColumns:
     """relation_rows builds each row entry from its column through the
     adjoint of the relation; on every block of all_blocks the rows
     equal, in order, those built by applying every relation to every
-    vector, and apply_expr gives, term for term, the images of the
-    per-expression reference on every column."""
+    vector, and the one apply_expr call per block gives, term for term,
+    the images of the per-expression reference on every column."""
 
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
     def test_rows_match_the_forward_rows(self, functor, monkeypatch):
-        # the images each column's rows were built from, column by column
+        # the columns and images each block's rows were built from
         applied = []
         real = presentations.apply_expr
 
-        def spy(H, exprs, t):
-            images = real(H, exprs, t)
-            applied.append((t, images))
+        def spy(H, exprs, tuples):
+            images = real(H, exprs, tuples)
+            # a copy of the list: _block_rows drops each image once used
+            applied.append((tuples, list(images)))
             return images
 
         monkeypatch.setattr(presentations, "apply_expr", spy)
@@ -615,33 +617,60 @@ class TestRowsFromColumns:
             applied.clear()
             basis, rows = relation_rows(s, weight)
             assert rows == forward_rows(s, weight, basis), (s.key(), weight)
+            # columns ascend within each row, as the rows go to rank_distinct
+            assert all(list(row) == sorted(row) for row in rows), (s.key(), weight)
             stars = [adjoint(expr) for expr in block_relations(s, weight)]
-            assert [u for u, _ in applied] == list(basis)
-            for u, images in applied:
+            ((tuples, images),) = applied
+            assert list(tuples) == list(basis)
+            # images regrouped column by column
+            columns = [[{} for _ in stars] for _ in basis]
+            for r, image in enumerate(images):
+                for t, cols in image.items():
+                    for j, c in cols.items():
+                        columns[j][r][t] = c
+            for u, got in zip(basis, columns):
                 want = [reference_apply_expr(s.hopf, star, u) for star in stars]
-                assert images == want, (s.key(), weight, u)
+                assert got == want, (s.key(), weight, u)
 
 
 class TestSharedWordTree:
-    """apply_expr applies a block's relations to a column in one walk of
-    a prefix tree of all their words, so that each common prefix is
-    applied once per column, and returns one vector per relation."""
+    """apply_expr applies a block's relations to all its columns in one
+    walk of a prefix tree of all their words, so each atom runs once per
+    distinct tuple that reaches its node, however many columns reach
+    it, and returns one image per relation."""
 
-    def test_a_shared_prefix_runs_once_per_column(self, monkeypatch):
+    def test_each_atom_runs_once_per_distinct_tuple(self, monkeypatch):
         s, weight = spec(H_FUNCTOR, 3, TENSOR, 3), (2, 1, 1)
+        basis = tensor_basis(s.hopf, 3, weight)
         stars = [adjoint(expr) for expr in block_relations(s, weight)]
-        words = [word for star in stars for _, word in star if ("E*",) in word]
-        prefixes = {word[:word.index(("E*",)) + 1] for word in words}
-        # every atom before E* is a swap, one term each, so E* runs once
-        # per column for each prefix
-        assert all(atom[0] == "swap" for prefix in prefixes for atom in prefix[:-1])
-        assert len(prefixes) < len(words)
-        calls = []
+        # the tree's nodes: every nonempty prefix of a word
+        nodes = {word[:k] for star in stars for _, word in star for k in range(1, len(word) + 1)}
+
+        def reach(word, tuples):
+            """The tuples the terms of word reach from tuples, whether
+            or not their coefficients cancel."""
+            for atom in word:
+                tuples = {t2 for t in tuples for t2 in tensorspace.apply_atom(s.hopf, atom, t)}
+            return tuples
+
+        shared, per_column = Counter(), Counter()
+        for node in nodes:
+            *prefix, atom = node
+            shared[atom] += len(reach(prefix, set(basis)))
+            per_column[atom] += sum(len(reach(prefix, {u})) for u in basis)
+        calls = Counter()
         real = tensorspace.apply_atom
         monkeypatch.setattr(tensorspace, "apply_atom",
-                            lambda H, atom, t: calls.append(atom) or real(H, atom, t))
-        basis, _ = relation_rows(s, weight)
-        assert calls.count(("E*",)) == len(basis) * len(prefixes)
+                            lambda H, atom, t: calls.update([atom]) or real(H, atom, t))
+        relation_rows(s, weight)
+        assert calls == shared
+        # only swaps come before E*, and they permute the block's tuples,
+        # so E* still runs once per column at its one node
+        assert [node for node in nodes if node[-1] == ("E*",)] == [(("swap", 1, 2), ("E*",))]
+        assert calls[("E*",)] == per_column[("E*",)] == len(basis)
+        # the atoms after a branch see tuples that many columns reach
+        assert calls[("S", 0)] < per_column[("S", 0)]
+        assert sum(calls.values()) < sum(per_column.values())
 
     def test_memoized_transposes_do_not_outlive_the_block(self):
         s = spec(H_FUNCTOR, 3, TENSOR, 3)

@@ -24,8 +24,10 @@ SYM3 = HopfAlgebra(SYM, 3)
 
 
 def apply_word(H, word, t):
-    """The engine's image of one word: the expression ((1, word),)."""
-    return apply_expr(H, (((1, word),),), t)[0]
+    """The engine's image of one word on one column: the expression
+    ((1, word),) applied to the tuples [t]."""
+    (image,) = apply_expr(H, (((1, word),),), [t])
+    return {u: cols[0] for u, cols in image.items()}
 
 
 def pair_blocks(H, total):
@@ -307,6 +309,25 @@ class TestSlotOperations:
         assert apply_word(SYM2, (), t) == {t: 1}
 
 
+class TestApplyExprColumns:
+    """apply_expr takes a list of columns and returns, per sum, each
+    image tuple with the columns it comes from and their coefficients."""
+
+    SWAP = ((1, (("swap", 0, 1),)),)
+
+    def test_a_repeated_tuple_yields_both_indices(self):
+        t, u = ((0,), (1,)), ((1,), (0,))
+        assert apply_expr(TEN2, (self.SWAP,), [t, u, t]) == [{u: {0: 1, 2: 1}, t: {1: 1}}]
+
+    def test_no_columns_give_empty_images(self):
+        assert apply_expr(TEN2, (self.SWAP, ((1, ()),)), []) == [{}, {}]
+
+    def test_cancelled_terms_are_dropped(self):
+        basis = tensor_basis(TEN2, 2, (2, 1))
+        cancelled = ((1, (("swap", 0, 1), ("S", 0))), (-1, (("swap", 0, 1), ("S", 0))))
+        assert apply_expr(TEN2, (cancelled,), basis) == [{}]
+
+
 class TestAdjoints:
     """adjoint(R) is the transpose of R in the basis tuples: the
     coefficient of u in R t equals that of t in adjoint(R) u, for every
@@ -328,7 +349,9 @@ class TestAdjoints:
             star = adjoint(expr)
             assert adjoint(star) == expr
             forward = {(t, u): c for t in basis for u, c in ref.apply_expr(H, expr, t).items()}
-            backward = {(t, u): c for u in basis for t, c in apply_expr(H, (star,), u)[0].items()}
+            # the whole block in one call: column j is basis[j]
+            (image,) = apply_expr(H, (star,), basis)
+            backward = {(t, basis[j]): c for t, cols in image.items() for j, c in cols.items()}
             assert forward == backward, (H, weight, expr)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
