@@ -63,10 +63,11 @@ relation R and vector v at column u is <R v, u>, in the pairing in
 which the block's tuples are orthonormal, and <R t, u> = <t, R* u> for
 the adjoint R* of tensorspace.  So all the column tuples of a block
 go through the adjoints of all its relations in one walk of a prefix
-tree of their words (tensorspace.apply_expr), and each tuple t of the
-image under R* adds the entries of the columns it comes from into the
-rows of relation R of the vectors whose support holds t.  The vectors
-of a weight block are its basis tuples themselves.  An HW block so
+tree of their words (tensorspace.apply_expr).  Where a word of R*
+ends, each tuple t it reaches adds the entries of the columns it comes
+from straight into the rows of relation R of the vectors whose support
+holds t, so no image of a whole relation is held.  The vectors of a
+weight block are its basis tuples themselves.  An HW block so
 costs its columns, not its support, a word prefix the relations share
 is applied once per tuple that reaches it, however many columns do,
 and no image term outside the kept columns is built.
@@ -84,7 +85,7 @@ from math import comb
 
 from .combinatorics import kostka, weyl_dim
 from .exactla import rank_distinct
-from .hopf import SYM, HopfAlgebra, _coproduct_transpose
+from .hopf import SYM, HopfAlgebra
 from .tensorspace import adjoint, apply_expr, basis_size, tensor_basis
 from .version import engine_version
 
@@ -272,29 +273,16 @@ def _block_rows(H: HopfAlgebra, exprs, basis, support) -> list:
     u> for every t at once from u, as the image of u under adjoint(R).
     So the whole basis goes through one apply_expr call, which walks the
     words of all the adjoints as one tree, once for all the columns, and
-    returns one image per relation: each tuple t with the columns u and
-    the <R t, u> it holds.  These are added into the rows of that
-    relation of every vector whose support holds t.  The rows come
-    vector by vector and relation by relation, in the order of exprs,
-    as dict-vectors over column indices in ascending order, zero rows
-    dropped."""
-    stars = tuple(adjoint(expr) for expr in exprs)
-    images = apply_expr(H, stars, basis)
-    # memoized transposes live for one block, so the cache never grows
-    # with the length of a run
-    _coproduct_transpose.cache_clear()
-    # row sums, vector by vector and relation by relation
-    sums = [{} for _ in range(len(basis) * len(stars))]
-    for r, image in enumerate(images):
-        # free each image once its entries are in the rows
-        images[r] = None
-        for t, cols in image.items():
-            for i, x in support.get(t, ()):
-                row = sums[i * len(stars) + r]
-                for col, v in cols.items():
-                    row[col] = row.get(col, 0) + x * v
+    adds each tuple t a word reaches into the rows of that word's
+    relation of the vectors whose support holds t.  The rows come vector
+    by vector and relation by relation, in the order of exprs, as
+    dict-vectors over column indices in ascending order, zero entries
+    and zero rows dropped."""
+    sums = apply_expr(H, tuple(adjoint(expr) for expr in exprs), basis, support)
     rows = []
-    for row in sums:
+    # the keys (i, r) sort vector by vector, relation by relation
+    for key in sorted(sums):
+        row = sums.pop(key)
         row = {col: row[col] for col in sorted(row) if row[col]}
         if row:
             rows.append(row)

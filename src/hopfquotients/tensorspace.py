@@ -48,18 +48,21 @@ with b in slot 1.  F* writes slot 0 as a * p and sends p (x) slot 1
 into slot 1, with a in slot 0.  ad* writes each slot i as v * w and as
 w * v, and puts v in front of slot 0 of the tuple with w in slot i,
 with the sign ad gives that term.  adjoint(expr) reverses each word and
-stars its atoms, so apply_expr(H, (adjoint(expr),), [u])[0] maps each
-t to {0: the coefficient of u in the image of t under expr}.
+stars its atoms, so <expr t, u> = <t, adjoint(expr) u>: applied to the
+column u, adjoint(expr) gives, at each t, the coefficient of u in the
+image of t under expr.
 
 apply_expr is the entry point: it applies a tuple of formal sums to a
-list of basis tuples, the columns, and returns one image per sum, each
-image tuple with the columns it comes from.  It walks one prefix tree
-of all their words once for all the columns, so a prefix the sums
+list of basis tuples, the columns, and adds the images straight into
+the rows of a set of vectors, given by their support: a tuple t of the
+image of column j under sum r adds its coefficient, times x, into entry
+j of row (i, r) of each vector i that holds x * t.  It walks one prefix
+tree of all their words once for all the columns, so a prefix the sums
 share is applied once, and a tuple that many columns reach at a node
-goes through apply_atom once.  The image of each word is added into
-its sum where the word ends.  The engine applies the adjoints of a
-block's relations, all at once, to all of the block's columns (see
-presentations).
+goes through apply_atom once.  A word's image goes into the rows where
+the word ends; no image of a whole sum is ever built.  The engine
+applies the adjoints of a block's relations, all at once, to all of the
+block's columns (see presentations).
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from .hopf import SYM, HopfAlgebra, add_into
+from .hopf import SYM, HopfAlgebra, _coproduct_transpose, add_into
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +166,10 @@ _STARRED = {"E": "E*", "F": "F*", "ad": "ad*", "E*": "E", "F*": "F", "ad*": "ad"
 def adjoint(expr) -> tuple:
     """The adjoint of a formal sum of words under the pairing in which the
     basis tuples are orthonormal: each word reversed and its atoms
-    starred, swap, S and U being their own adjoints.  So
-    apply_expr(H, (adjoint(expr),), [u])[0][t][0] is the coefficient of
-    u in the image of t under expr."""
+    starred, swap, S and U being their own adjoints.  So, with the
+    support {t: ((0, 1),)}, apply_expr(H, (adjoint(expr),), [u],
+    support)[0, 0][0] is the coefficient of u in the image of t under
+    expr."""
     return tuple(
         (coeff, tuple((_STARRED.get(atom[0], atom[0]),) + atom[1:] for atom in reversed(word)))
         for coeff, word in expr
@@ -194,22 +198,22 @@ def _word_tree(exprs) -> tuple:
 _MONOMIAL = frozenset(("swap", "S", "U"))
 
 
-def _walk(H: HopfAlgebra, node: tuple, state: dict, out: list) -> None:
-    """Add state, the image of the node's prefix, into the sums of the
-    words that end at node, and walk on into its children.  state maps
-    each tuple the prefix reaches to (scale, payload): the tuple's
+def _walk(H: HopfAlgebra, node: tuple, state: dict, support: dict, sums: dict) -> None:
+    """Add state, the image of the node's prefix, into the row sums of
+    each word that ends at node, and walk on into its children.  state
+    maps each tuple the prefix reaches to (scale, payload): the tuple's
     coefficient in the image of column j is scale * payload[j]."""
     leaves, children = node
     for r, coeff in leaves:
-        image = out[r]
         for t, (scale, payload) in state.items():
-            c = coeff * scale
-            acc = image.get(t)
-            if acc is None:
-                image[t] = dict(payload) if c == 1 else {j: c * x for j, x in payload.items()}
-            else:
-                for j, x in payload.items():
-                    acc[j] = acc.get(j, 0) + c * x
+            for i, x in support.get(t, ()):
+                c = coeff * scale * x
+                row = sums.get((i, r))
+                if row is None:
+                    sums[i, r] = {j: c * y for j, y in payload.items()}
+                else:
+                    for j, y in payload.items():
+                        row[j] = row.get(j, 0) + c * y
     for atom, child in children.items():
         nxt: dict = {}
         if atom[0] in _MONOMIAL:
@@ -230,43 +234,44 @@ def _walk(H: HopfAlgebra, node: tuple, state: dict, out: list) -> None:
                         for j, x in payload.items():
                             acc[j] = acc.get(j, 0) + c * x
         if nxt:
-            _walk(H, child, nxt, out)
+            _walk(H, child, nxt, support, sums)
 
 
-def apply_expr(H: HopfAlgebra, exprs: tuple, tuples) -> list:
+def apply_expr(H: HopfAlgebra, exprs: tuple, tuples, support: dict) -> dict:
     """exprs is a tuple of formal sums, each a tuple of (coeff, word)
-    pairs, and tuples a sequence of basis tuples, the columns; returns
-    one image per sum, a dict that maps each tuple t of the images to
-    {j: coefficient of t in the sum applied to tuples[j]}.
+    pairs, tuples a sequence of basis tuples, the columns, and support
+    maps a basis tuple t to the (i, x) pairs of the vectors i that hold
+    x * t.  Returns the row sums {(i, r): {j: c}}, where c pairs vector
+    i with sum r applied to tuples[j], the basis tuples orthonormal: c
+    is the sum, over the tuples t of that image and the (i, x) in
+    support[t], of x times the coefficient of t.  A sum may hold zeros.
 
     The words of all the sums share one prefix tree (_word_tree), walked
     once for all the columns.  At each node the walk holds each distinct
     tuple the prefix reaches once, with the columns that reach it, so
     each goes through apply_atom once however many columns share it.
     swap, S and U hand a tuple's columns on unchanged, up to a sign;
-    E*, F* and ad* merge those of the tuples they map together.  Zeros
-    are dropped once at the end.  This is exact by linearity.  Two sums
-    that share the prefix swap(0, 1) apply it once to each of the two
-    columns, and once to the tuple that column 2 repeats:
+    E*, F* and ad* merge those of the tuples they map together.  Where a
+    word ends, each tuple adds its columns into the rows of the vectors
+    that hold it.  This is exact by linearity.  Two sums that share the
+    prefix swap(0, 1) apply it once to each of the two columns, and once
+    to the tuple that column 2 repeats; vector 0 is t, vector 1 is u:
 
     >>> from hopfquotients.hopf import TENSOR
     >>> H = HopfAlgebra(TENSOR, 2)
     >>> swap, S0 = ("swap", 0, 1), ("S", 0)
     >>> exprs = (((1, (swap,)),), ((1, (swap, S0)),))
-    >>> apply_expr(H, exprs, [((0,), (1,)), ((1,), (0,)), ((0,), (1,))])
-    [{((1,), (0,)): {0: 1, 2: 1}, ((0,), (1,)): {1: 1}}, {((1,), (0,)): {0: -1, 2: -1}, ((0,), (1,)): {1: -1}}]
+    >>> t, u = ((0,), (1,)), ((1,), (0,))
+    >>> sorted(apply_expr(H, exprs, [t, u, t], {t: ((0, 1),), u: ((1, 1),)}).items())
+    [((0, 0), {1: 1}), ((0, 1), {1: -1}), ((1, 0), {0: 1, 2: 1}), ((1, 1), {0: -1, 2: -1})]
+
+    The memoized coproduct transposes that E* and F* fill are cleared
+    at the end, so the cache never grows with the length of a run.
     """
-    out: list = [{} for _ in exprs]
     state: dict = {}
     for j, t in enumerate(tuples):
         state.setdefault(t, (1, {}))[1][j] = 1
-    _walk(H, _word_tree(exprs), state, out)
-    for image in out:
-        for t, cols in list(image.items()):
-            if 0 in cols.values():
-                cols = {j: x for j, x in cols.items() if x}
-                if cols:
-                    image[t] = cols
-                else:
-                    del image[t]
-    return out
+    sums: dict = {}
+    _walk(H, _word_tree(exprs), state, support, sums)
+    _coproduct_transpose.cache_clear()
+    return sums

@@ -257,7 +257,9 @@ def test_criterion_10_property_suite(capsys):
                     assert ref.apply_word(H, (("gamma",),) * 3, t) == {t: 1}
                 # the engine's swap squares to the identity on every column
                 swap_twice = ((1, (("swap", 0, 1),) * 2),)
-                assert apply_expr(H, (swap_twice,), basis) == [{t: {j: 1} for j, t in enumerate(basis)}]
+                identity = {t: ((j, 1),) for j, t in enumerate(basis)}
+                sums = apply_expr(H, (swap_twice,), basis, identity)
+                assert sums == {(j, 0): {j: 1} for j in range(len(basis))}
 
         # sparse and dense rank agree on real relation matrices
         for s, weight in [

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import nullcontext
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -569,7 +570,8 @@ class TestConjugationDefectRows:
         handed = []
         real = presentations.apply_expr
         monkeypatch.setattr(presentations, "apply_expr",
-                            lambda H, exprs, t: handed.append(exprs) or real(H, exprs, t))
+                            lambda H, exprs, t, support: handed.append(exprs)
+                            or real(H, exprs, t, support))
         relation_rows(spec(OMEGA_FUNCTOR, 3, kind, 3), (2, 1, 1))
         assert handed
         defect = adjoint(presentations._CONJUGATION_DEFECT)
@@ -595,20 +597,20 @@ class TestRowsFromColumns:
     """relation_rows builds each row entry from its column through the
     adjoint of the relation; on every block of all_blocks the rows
     equal, in order, those built by applying every relation to every
-    vector, and the one apply_expr call per block gives, term for term,
-    the images of the per-expression reference on every column."""
+    vector, and the one apply_expr call per block, on the block's
+    columns with the identity support over its weight block, gives,
+    term for term, the images of the per-expression reference on every
+    column."""
 
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
     def test_rows_match_the_forward_rows(self, functor, monkeypatch):
-        # the columns and images each block's rows were built from
+        # the sums and columns each block's rows were built from
         applied = []
         real = presentations.apply_expr
 
-        def spy(H, exprs, tuples):
-            images = real(H, exprs, tuples)
-            # a copy of the list: _block_rows drops each image once used
-            applied.append((tuples, list(images)))
-            return images
+        def spy(H, exprs, tuples, support):
+            applied.append((exprs, tuples))
+            return real(H, exprs, tuples, support)
 
         monkeypatch.setattr(presentations, "apply_expr", spy)
         blocks = list(all_blocks(functor))
@@ -620,24 +622,44 @@ class TestRowsFromColumns:
             # columns ascend within each row, as the rows go to rank_distinct
             assert all(list(row) == sorted(row) for row in rows), (s.key(), weight)
             stars = [adjoint(expr) for expr in block_relations(s, weight)]
-            ((tuples, images),) = applied
+            ((exprs, tuples),) = applied
+            assert list(exprs) == stars
             assert list(tuples) == list(basis)
-            # images regrouped column by column
+            # the whole images, regrouped column by column: vector i of
+            # the identity support is tuple i of the weight block
+            block = tensor_basis(replace(s.hopf, odd=False), s.rank, weight)
+            identity = {t: ((i, 1),) for i, t in enumerate(block)}
             columns = [[{} for _ in stars] for _ in basis]
-            for r, image in enumerate(images):
-                for t, cols in image.items():
-                    for j, c in cols.items():
-                        columns[j][r][t] = c
+            for (i, r), cols in real(s.hopf, exprs, tuples, identity).items():
+                for j, c in cols.items():
+                    if c:
+                        columns[j][r][block[i]] = c
             for u, got in zip(basis, columns):
                 want = [reference_apply_expr(s.hopf, star, u) for star in stars]
                 assert got == want, (s.key(), weight, u)
+
+    @pytest.mark.parametrize("hw", [False, True], ids=["weight", "hw"])
+    @pytest.mark.parametrize("kind", [SYM, TENSOR])
+    def test_words_that_cancel_across_nodes_give_no_row(self, kind, hw, monkeypatch):
+        # the identity ends at the root of the word tree and swap01
+        # twice two atoms below it; only the block drops their zero sums,
+        # so the relation adds no row to those of the conjugation defect
+        cancelled = ((1, (("swap", 0, 1), ("swap", 0, 1))), (-1, ()))
+        s, weight = spec(H_FUNCTOR, 2, kind, 2, hw=hw), (2, 1)
+        monkeypatch.setitem(presentations.RELATIONS, (H_FUNCTOR, 2, "none"), ())
+        _, defect_rows = relation_rows(s, weight)
+        monkeypatch.setitem(presentations.RELATIONS, (H_FUNCTOR, 2, "none"), (cancelled,))
+        basis, rows = relation_rows(s, weight)
+        assert basis and rows == defect_rows
+        assert bool(rows) == (kind == TENSOR)
 
 
 class TestSharedWordTree:
     """apply_expr applies a block's relations to all its columns in one
     walk of a prefix tree of all their words, so each atom runs once per
     distinct tuple that reaches its node, however many columns reach
-    it, and returns one image per relation."""
+    it, and adds each tuple a word reaches into the rows of the vectors
+    that hold it."""
 
     def test_each_atom_runs_once_per_distinct_tuple(self, monkeypatch):
         s, weight = spec(H_FUNCTOR, 3, TENSOR, 3), (2, 1, 1)

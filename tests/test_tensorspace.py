@@ -7,7 +7,7 @@ import pytest
 import reference_ops as ref
 from hopfquotients.exactla import rank_distinct
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
-from hopfquotients.presentations import _CONJUGATION_DEFECT, RELATIONS
+from hopfquotients.presentations import _CONJUGATION_DEFECT, RELATIONS, _block_rows
 from hopfquotients.tensorspace import (
     adjoint,
     apply_atom,
@@ -23,10 +23,28 @@ TEN3 = HopfAlgebra(TENSOR, 3)
 SYM3 = HopfAlgebra(SYM, 3)
 
 
+def identity(basis):
+    """The support in which vector i is basis[i]."""
+    return {t: ((i, 1),) for i, t in enumerate(basis)}
+
+
+def images(H, exprs, tuples, basis):
+    """The engine's image of each sum of exprs on the columns tuples, as
+    {image tuple: {column: coeff}}, zeros dropped: apply_expr with the
+    identity support over basis, a weight block that holds the images."""
+    out = [{} for _ in exprs]
+    for (i, r), cols in apply_expr(H, exprs, tuples, identity(basis)).items():
+        cols = {j: c for j, c in cols.items() if c}
+        if cols:
+            out[r][basis[i]] = cols
+    return out
+
+
 def apply_word(H, word, t):
     """The engine's image of one word on one column: the expression
-    ((1, word),) applied to the tuples [t]."""
-    (image,) = apply_expr(H, (((1, word),),), [t])
+    ((1, word),) applied to the tuples [t], over the weight block of t."""
+    basis = tensor_basis(H, len(t), total_weight(H, t))
+    (image,) = images(H, (((1, word),),), [t], basis)
     return {u: cols[0] for u, cols in image.items()}
 
 
@@ -310,22 +328,29 @@ class TestSlotOperations:
 
 
 class TestApplyExprColumns:
-    """apply_expr takes a list of columns and returns, per sum, each
-    image tuple with the columns it comes from and their coefficients."""
+    """apply_expr takes a list of columns and a support, and returns the
+    row sums {(vector, sum): {column: coeff}} of the vectors that hold
+    the image tuples."""
 
     SWAP = ((1, (("swap", 0, 1),)),)
+    BLOCK = tensor_basis(TEN2, 2, (1, 1))
 
     def test_a_repeated_tuple_yields_both_indices(self):
         t, u = ((0,), (1,)), ((1,), (0,))
-        assert apply_expr(TEN2, (self.SWAP,), [t, u, t]) == [{u: {0: 1, 2: 1}, t: {1: 1}}]
+        index = {v: i for i, v in enumerate(self.BLOCK)}
+        sums = apply_expr(TEN2, (self.SWAP,), [t, u, t], identity(self.BLOCK))
+        assert sums == {(index[u], 0): {0: 1, 2: 1}, (index[t], 0): {1: 1}}
 
     def test_no_columns_give_empty_images(self):
-        assert apply_expr(TEN2, (self.SWAP, ((1, ()),)), []) == [{}, {}]
+        assert apply_expr(TEN2, (self.SWAP, ((1, ()),)), [], identity(self.BLOCK)) == {}
 
     def test_cancelled_terms_are_dropped(self):
+        # the sums keep a cancelled term as a zero; the block drops it
         basis = tensor_basis(TEN2, 2, (2, 1))
         cancelled = ((1, (("swap", 0, 1), ("S", 0))), (-1, (("swap", 0, 1), ("S", 0))))
-        assert apply_expr(TEN2, (cancelled,), basis) == [{}]
+        sums = apply_expr(TEN2, (cancelled,), basis, identity(basis))
+        assert sums and not any(c for cols in sums.values() for c in cols.values())
+        assert _block_rows(TEN2, (cancelled,), basis, identity(basis)) == []
 
 
 class TestAdjoints:
@@ -350,7 +375,7 @@ class TestAdjoints:
             assert adjoint(star) == expr
             forward = {(t, u): c for t in basis for u, c in ref.apply_expr(H, expr, t).items()}
             # the whole block in one call: column j is basis[j]
-            (image,) = apply_expr(H, (star,), basis)
+            (image,) = images(H, (star,), basis, basis)
             backward = {(t, basis[j]): c for t, cols in image.items() for j, c in cols.items()}
             assert forward == backward, (H, weight, expr)
 
