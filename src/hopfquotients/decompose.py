@@ -61,10 +61,6 @@ class InconsistentBlockTableError(RuntimeError):
     """The block dimensions of a cell disagree: a check block's
     dimension does not match the one its multiplicities predict."""
 
-    def __init__(self, message, table):
-        super().__init__(f"{message}; weight table {table}")
-        self.table = table
-
 
 def default_num_vars(spec: FunctorSpec, degree: int) -> int:
     if spec.hopf.kind == SYM:
@@ -128,8 +124,7 @@ def _quotient_dims(blocks, jobs, cache_dir) -> dict:
     """Quotient dimension of each (spec, weight) block.  Blocks missing
     from the memory cache go to the pool of workers(jobs), largest first
     and one at a time, when there are two or more of them: the pool of
-    the enclosing verify_against, else one for this cell alone.  (The
-    benchmark's tensor-jobs2 session starts 2 pools, not one per cell.)"""
+    the enclosing verify_against, else one for this cell alone."""
     misses = [b for b in blocks if not in_memory(*b)]
     if jobs > 1 and len(misses) > 1:
         misses.sort(key=lambda b: block_cols(*b), reverse=True)
@@ -200,8 +195,7 @@ def decompose(
         if dims[check] != predicted:
             raise InconsistentBlockTableError(
                 f"check block {check[0].key()} at {check[1]} has dimension {dims[check]}, but "
-                f"the multiplicities of {wspec.key()} degree {degree} predict {predicted}",
-                weight_dims,
+                f"the multiplicities of {wspec.key()} degree {degree} predict {predicted}"
             )
     return Decomposition(wspec, degree, entries, weight_dims)
 

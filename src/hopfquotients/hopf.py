@@ -17,6 +17,11 @@ the Koszul sign (-1)^r, and the antipode carries (-1)^(k + k(k-1)/2).
 Its weight blocks are the sign blocks of the even algebra (super
 Schur-Weyl duality).
 
+The engine applies only the transpose of the coproduct, factorizations
+(the pairs whose product is a given element), the antipode and the
+basis of a weight; the forward product and coproduct are the tests'
+reference, in tests/reference_ops.py.
+
 The transpose of the coproduct under the pairing in which the words are
 orthonormal sends left (x) right to the sum over elements a of the
 coefficient of left (x) right in the coproduct of a, times a.  Over the
@@ -50,20 +55,16 @@ def add_into(vec: dict, key, coeff) -> None:
 
 
 @lru_cache(maxsize=None)
-def _word_coproduct(word, odd):
-    """Unshuffle terms (left, rest, coeff), built letter by letter with
-    equal pairs merged and cancelled ones dropped, so every pair appears
-    once, with a nonzero coefficient.  Both products are cancellative, so
-    distinct pairs stay distinct when a leg is multiplied on, and E and F
-    never merge or cancel terms."""
-    terms = {((), ()): 1}
+def _unshuffle_pairs(word):
+    """The pairs (left, rest) of the unshuffle of a word over even
+    generators, each once: each letter in turn joins rest, then left."""
+    pairs = {((), ()): None}
     for letter in word:
-        nxt: dict = {}
-        for (left, rest), c in terms.items():
-            add_into(nxt, (left, rest + (letter,)), c)
-            add_into(nxt, (left + (letter,), rest), -c if odd and len(rest) % 2 else c)
-        terms = nxt
-    return tuple((a, b, c) for (a, b), c in terms.items())
+        pairs = dict.fromkeys(
+            pair for left, rest in pairs
+            for pair in ((left, rest + (letter,)), (left + (letter,), rest))
+        )
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -71,8 +72,8 @@ def _coproduct_transpose(left, right, sym, odd):
     """HopfAlgebra.coproduct_transpose of two nonempty words.  Over the
     tensor algebra the shuffle terms (word, coeff) are built letter by
     letter with equal states merged and cancelled ones dropped: the
-    transpose of _word_coproduct, whose sign a letter of left takes when
-    it follows r letters of right."""
+    transpose of the unshuffle, whose Koszul sign a letter of left takes
+    when it follows r letters of right."""
     if sym:
         elem = tuple(sorted(left + right))
         coeff = 1
@@ -115,19 +116,6 @@ class HopfAlgebra:
         that the conjugation defect ad is zero: true for sym."""
         return self.kind == SYM
 
-    def degree(self, elem) -> int:
-        return len(elem)
-
-    def product(self, x, y):
-        if self.kind == SYM:
-            return tuple(sorted(x + y))
-        return x + y
-
-    def coproduct(self, x):
-        """List of (left, right, coeff) triples with sum of coeff *
-        left (x) right equal to the coproduct of x."""
-        return _word_coproduct(x, self.odd)
-
     def coproduct_transpose(self, left, right):
         """List of (elem, coeff) pairs, each elem once, where coeff is the
         coefficient of left (x) right in the coproduct of elem."""
@@ -136,10 +124,10 @@ class HopfAlgebra:
         return _coproduct_transpose(left, right, self.kind == SYM, self.odd)
 
     def factorizations(self, x):
-        """List of (left, right) pairs with product(left, right) == x,
-        each once: the prefixes of a word, the submonomials over sym."""
+        """List of (left, right) pairs whose product is x, each once:
+        the prefixes of a word, the submonomials over sym."""
         if self.kind == SYM:
-            return [(left, right) for left, right, _ in _word_coproduct(x, False)]
+            return list(_unshuffle_pairs(x))
         return [(x[:k], x[k:]) for k in range(len(x) + 1)]
 
     def antipode(self, x):

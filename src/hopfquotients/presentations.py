@@ -497,6 +497,9 @@ def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
         if result is not None:
             _MEM_CACHE[token] = result
             return result
+        # a cache_dir that cannot be a directory fails before the block
+        # is computed
+        os.makedirs(cache_dir, exist_ok=True)
     result = compute_block(spec, weight)
     _MEM_CACHE[token] = result
     if path is not None:
@@ -507,7 +510,6 @@ def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
             "quotient_dim": result.quotient_dim,
             "engine_version_hash": engine_version(),
         }
-        os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -124,7 +124,7 @@ def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
         lst[i] = elem
         return {tuple(lst): sign}
     if kind == "U":
-        return {t: 1} if H.degree(t[atom[1]]) == 0 else {}
+        return {} if t[atom[1]] else {t: 1}
     if kind == "E*":
         x, y, rest = t[0], t[1], t[2:]
         return {

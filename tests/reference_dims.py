@@ -36,10 +36,11 @@ def h1_dim(hopf: HopfAlgebra, weight) -> int:
     comm_rows = []
     if hopf.kind == TENSOR:
         for a, b in tensor_basis(hopf, 2, weight):
-            if hopf.degree(a) == 0 or hopf.degree(b) == 0:
+            if not a or not b:
                 continue
-            row: dict = {index[hopf.product(a, b)]: 1}
-            add_into(row, index[hopf.product(b, a)], -1)
+            # the tensor product concatenates
+            row: dict = {index[a + b]: 1}
+            add_into(row, index[b + a], -1)
             if row:
                 comm_rows.append(row)
     image_rows = []

@@ -263,7 +263,7 @@ class TestBounds:
 class TestFailedReconstruction:
     def test_inconsistent_blocks_exit_one(self, monkeypatch, capsys):
         def inconsistent(*a, **k):
-            raise InconsistentBlockTableError("reconstruction mismatch", {(2,): -1})
+            raise InconsistentBlockTableError("reconstruction mismatch")
 
         monkeypatch.setattr(cli, "decompose", inconsistent)
         code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "sym",

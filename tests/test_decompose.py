@@ -352,14 +352,6 @@ class TestHighestWeightSolve:
         assert (steered == engine) == (reading is general_reading)
 
 
-class TestReconstructionGuard:
-    def test_error_carries_table(self):
-        try:
-            raise InconsistentBlockTableError("boom", {(1,): 2})
-        except InconsistentBlockTableError as err:
-            assert err.table == {(1,): 2}
-
-
 class TestBounds:
     def test_coarser_rank2_equalities(self):
         report = verify_bounds(decompose(spec(OMEGA_FUNCTOR, 2, SYM), 6))

@@ -514,6 +514,17 @@ class TestCaching:
             block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    def test_unusable_cache_dir_fails_before_computing(self, tmp_path, monkeypatch):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+
+        def boom(*a, **k):
+            raise AssertionError("computed before the cache_dir was checked")
+
+        monkeypatch.setattr(presentations, "compute_block", boom)
+        with pytest.raises(OSError):
+            block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(not_a_dir))
+
 
 def row_set_digest(s, weight):
     """sha256 of the sorted set of normalized nonzero relation rows, as
