@@ -35,8 +35,6 @@ def partitions_of(n: int, max_parts: int | None = None):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if slots == 0:
-            return
         for part in range(min(bound, remaining), 0, -1):
             # the remaining slots must be able to absorb what is left
             if part * slots < remaining:
@@ -90,8 +88,6 @@ def _kostka_rec(shape: tuple, content: tuple) -> int:
         return 1 if not shape else 0
     last = content[-1]
     rest = content[:-1]
-    if last == 0:
-        return _kostka_rec(shape, rest)
     return sum(_kostka_rec(nu, rest) for nu in _strip_removals(shape, last))
 
 

@@ -146,11 +146,13 @@ class HopfAlgebra:
         letters = tuple(v for v, m in enumerate(weight) for _ in range(m))
         if self.kind == SYM:
             return [letters]
-        return sorted(_distinct_arrangements(letters))
+        return list(_distinct_arrangements(letters))
 
 
 @lru_cache(maxsize=None)
 def _distinct_arrangements(letters: tuple) -> tuple:
+    """Every distinct arrangement of letters, once each; in
+    lexicographic order when letters is nondecreasing."""
     if not letters:
         return ((),)
     seen = set()

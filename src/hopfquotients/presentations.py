@@ -243,14 +243,23 @@ def relation_rows(spec: FunctorSpec, weight):
     """Materialize the relation rows for one block.
 
     Returns (basis, rows) where rows are integer dict-vectors over column
-    indices into basis.  The vectors of a weight block are its basis
-    tuples; those of a highest-weight block are its bideterminants, and
-    basis holds their leading tuples (see _highest_weight_basis).  The
-    rows come vector by vector and, for each vector, relation by
-    relation in the order of block_relations, the conjugation defect
-    first over the tensor algebra: the nonzero images of the vector,
-    projected onto the tuples of basis.  _block_rows builds them from
-    all the columns at once.
+    indices into basis, in ascending order, zero entries and zero rows
+    dropped.  The vectors of a weight block are its basis tuples; those
+    of a highest-weight block are its bideterminants, and basis holds
+    their leading tuples (see _highest_weight_basis).  The rows come
+    vector by vector and, for each vector, relation by relation in the
+    order of block_relations, the conjugation defect first over the
+    tensor algebra: the nonzero images of the vector, projected onto the
+    tuples of basis.
+
+    Row (i, R) holds at column u the coefficient of u in R applied to
+    vector i, the sum over t of x * <R t, u> for the (i, x) in
+    support[t].  The adjoint gives <R t, u> for every t at once from u,
+    as the image of u under adjoint(R).  So the whole basis goes through
+    one apply_expr call, which walks the words of all the adjoints as
+    one tree, once for all the columns, and adds each tuple t a word
+    reaches into the rows of that word's relation of the vectors whose
+    support holds t.
     """
     H = spec.hopf
     weight = tuple(weight)
@@ -260,25 +269,8 @@ def relation_rows(spec: FunctorSpec, weight):
         # odd generators have the same basis: share the even block's cache entry
         basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
         support = {t: ((i, 1),) for i, t in enumerate(basis)}
-    return basis, _block_rows(H, block_relations(spec, weight), basis, support)
-
-
-def _block_rows(H: HopfAlgebra, exprs, basis, support) -> list:
-    """The rows of the block whose columns are the tuples of basis, and
-    whose vector i, one per column, is the sum over t of x * t for the
-    (i, x) in support[t].
-
-    Row (i, R) holds at column u the coefficient of u in R applied to
-    vector i, the sum over t of x * <R t, u>.  The adjoint gives <R t,
-    u> for every t at once from u, as the image of u under adjoint(R).
-    So the whole basis goes through one apply_expr call, which walks the
-    words of all the adjoints as one tree, once for all the columns, and
-    adds each tuple t a word reaches into the rows of that word's
-    relation of the vectors whose support holds t.  The rows come vector
-    by vector and relation by relation, in the order of exprs, as
-    dict-vectors over column indices in ascending order, zero entries
-    and zero rows dropped."""
-    sums = apply_expr(H, tuple(adjoint(expr) for expr in exprs), basis, support)
+    exprs = tuple(adjoint(expr) for expr in block_relations(spec, weight))
+    sums = apply_expr(H, exprs, basis, support)
     rows = []
     # the keys (i, r) sort vector by vector, relation by relation
     for key in sorted(sums):
@@ -286,7 +278,7 @@ def _block_rows(H: HopfAlgebra, exprs, basis, support) -> list:
         row = {col: row[col] for col in sorted(row) if row[col]}
         if row:
             rows.append(row)
-    return rows
+    return basis, rows
 
 
 def semistandard_tableaux(shape, n: int) -> list:
@@ -490,32 +482,35 @@ def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
     hit = _MEM_CACHE.get(token)
     if hit is not None:
         return hit
-    path = None
+    fh = None
     if cache_dir:
         path = _cache_path(cache_dir, token)
         result = _read_record(path, spec, weight)
         if result is not None:
             _MEM_CACHE[token] = result
             return result
-        # a cache_dir that cannot be a directory fails before the block
-        # is computed
+        # open the record before the block is computed, so that a
+        # cache_dir that cannot hold it fails first
         os.makedirs(cache_dir, exist_ok=True)
-    result = compute_block(spec, weight)
-    _MEM_CACHE[token] = result
-    if path is not None:
-        record = {
-            "block": token,
-            "ambient_dim": result.ambient_dim,
-            "rank": result.rank,
-            "quotient_dim": result.quotient_dim,
-            "engine_version_hash": engine_version(),
-        }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
+        fh = os.fdopen(fd, "w")
+    try:
+        result = compute_block(spec, weight)
+        _MEM_CACHE[token] = result
+        if fh is not None:
+            record = {
+                "block": token,
+                "ambient_dim": result.ambient_dim,
+                "rank": result.rank,
+                "quotient_dim": result.quotient_dim,
+                "engine_version_hash": engine_version(),
+            }
+            with fh:
                 json.dump(record, fh, sort_keys=True)
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException:
+        if fh is not None:
+            fh.close()
             os.unlink(tmp)
-            raise
+        raise
     return result

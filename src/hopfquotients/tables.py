@@ -110,12 +110,6 @@ def entries_in_scope(table, functor=None, rank=None, hopf=None, max_degree=None)
         yield entry
 
 
-def _computed_pairs(entry, jobs=1, cache_dir=None):
-    spec = FunctorSpec(entry["functor"], entry["rank"], HopfAlgebra(entry["hopf"], 1))
-    dec = decompose(spec, entry["degree"], jobs=jobs, cache_dir=cache_dir)
-    return sorted(dec.entries.items(), reverse=True)
-
-
 def _pairs_payload(pairs):
     return [{"partition": list(p), "mult": m} for p, m in pairs]
 
@@ -131,7 +125,9 @@ def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
     with workers(jobs):
         for entry in entries_in_scope(table, functor, rank, hopf, max_degree):
             key = {k: entry[k] for k in _CELL_FIELDS}
-            computed = _computed_pairs(entry, jobs=jobs, cache_dir=cache_dir)
+            spec = FunctorSpec(entry["functor"], entry["rank"], HopfAlgebra(entry["hopf"], 1))
+            dec = decompose(spec, entry["degree"], jobs=jobs, cache_dir=cache_dir)
+            computed = sorted(dec.entries.items(), reverse=True)
             if entry["value"] == UNKNOWN:
                 new.append({**key, "computed": _pairs_payload(computed)})
                 continue

@@ -78,10 +78,9 @@ from .hopf import SYM, HopfAlgebra, _coproduct_transpose, add_into
 def tensor_basis(H: HopfAlgebra, n: int, weight: tuple) -> tuple:
     """All n-tuples of basis elements with total weight `weight`, sorted
     lexicographically; for sym, by their slots' weight vectors, the order
-    in which the loop over head weights emits them."""
-    weight = tuple(weight)
-    if len(weight) != H.num_vars:
-        raise ValueError("weight length must match num_vars")
+    in which the loop over head weights emits them.  weight is a tuple
+    (the cache hashes it) of num_vars entries: elements_of_weight raises
+    ValueError for any other length."""
     if n == 1:
         return tuple((e,) for e in H.elements_of_weight(weight))
     out = []

@@ -1,6 +1,7 @@
 """Reference maps the tests compare the engine against.
 
-counit() and weight() read a basis word's counit and weight vector.
+all_elements() lists every basis word up to a length.  counit() and
+weight() read a basis word's counit and weight vector.
 product() and coproduct() are the forward structure maps of the Hopf
 algebra, which the engine applies only through their transposes and
 factorizations: the coproduct sums over every subset of a word's
@@ -51,7 +52,7 @@ published tables.
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import combinations_with_replacement, permutations, product as iproduct
 
 import pytest
 
@@ -66,6 +67,18 @@ from hopfquotients.presentations import (
     standard_tableaux,
 )
 from hopfquotients import tensorspace
+
+
+def all_elements(H, max_deg):
+    """Every basis word of length at most max_deg: the nondecreasing
+    ones for sym, all of them for tensor."""
+    out = []
+    for k in range(max_deg + 1):
+        if H.kind == SYM:
+            out.extend(combinations_with_replacement(range(H.num_vars), k))
+        else:
+            out.extend(iproduct(range(H.num_vars), repeat=k))
+    return out
 
 
 def counit(x) -> int:

@@ -213,7 +213,7 @@ def test_criterion_10_property_suite(capsys):
         # Hopf axioms, exhaustive to degree 5 over two variables
         for kind in (SYM, TENSOR):
             H = HopfAlgebra(kind, 2)
-            elems = _elements(H, 5)
+            elems = ref.all_elements(H, 5)
             for x in elems:
                 pairs = {}
                 for a, b, c in ref.coproduct(H, x):
@@ -235,8 +235,8 @@ def test_criterion_10_property_suite(capsys):
                 sign, sx = H.antipode(x)
                 sign2, sxx = H.antipode(sx)
                 assert (sign * sign2, sxx) == (1, x)
-            for x in _elements(H, 2):
-                for y in _elements(H, 2):
+            for x in ref.all_elements(H, 2):
+                for y in ref.all_elements(H, 2):
                     lhs = {}
                     for a, b, c in ref.coproduct(H, ref.product(H, x, y)):
                         add_into(lhs, (a, b), c)
@@ -291,17 +291,3 @@ def test_criterion_10_property_suite(capsys):
                 coarser = decompose(spec(OMEGA_FUNCTOR, rank, kind), degree, jobs=JOBS)
                 for lam, mult in finer.entries.items():
                     assert coarser.multiplicity(lam) >= mult, (rank, kind, degree, lam)
-
-
-def _elements(H, max_deg):
-    """Every basis word of length at most max_deg: the nondecreasing
-    ones for sym, all of them for tensor."""
-    from itertools import combinations_with_replacement, product as iproduct
-
-    out = []
-    for k in range(max_deg + 1):
-        if H.kind == SYM:
-            out.extend(combinations_with_replacement(range(H.num_vars), k))
-        else:
-            out.extend(iproduct(range(H.num_vars), repeat=k))
-    return out

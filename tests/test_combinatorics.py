@@ -63,7 +63,7 @@ def ssyt_count(shape, content):
 class TestPartitions:
     def test_counts_against_brute_force(self):
         for n in range(0, 9):
-            for m in range(1, n + 2):
+            for m in range(0, n + 2):
                 assert set(partitions_of(n, m)) == brute_partitions(n, m)
 
     def test_seven_partitions_of_six_with_three_parts(self):

@@ -1,23 +1,10 @@
-from itertools import combinations_with_replacement, product as iproduct
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra, add_into
-from reference_ops import coproduct, counit, product, weight
-
-
-def all_elements(H, max_deg):
-    """Every basis word of length at most max_deg: the nondecreasing
-    ones for sym, all of them for tensor."""
-    out = []
-    for k in range(max_deg + 1):
-        if H.kind == SYM:
-            out.extend(combinations_with_replacement(range(H.num_vars), k))
-        else:
-            out.extend(iproduct(range(H.num_vars), repeat=k))
-    return out
+from reference_ops import all_elements, coproduct, counit, product, weight
 
 
 def cop(H, x):

@@ -26,7 +26,7 @@ from reference_ops import (
 from hopfquotients.combinatorics import cusp_dim, partitions_of, weyl_dim
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
-from hopfquotients import presentations, version
+from hopfquotients import cli, presentations, version
 from hopfquotients.presentations import (
     H_FUNCTOR,
     OMEGA_FUNCTOR,
@@ -524,6 +524,25 @@ class TestCaching:
         monkeypatch.setattr(presentations, "compute_block", boom)
         with pytest.raises(OSError):
             block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(not_a_dir))
+
+    def test_unwritable_cache_dir_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        # root may write into a read-only directory, so refuse the record's
+        # file the way such a directory would
+        def read_only(*a, **k):
+            raise PermissionError(13, "Permission denied", str(tmp_path))
+
+        def boom(*a, **k):
+            raise AssertionError("computed before the record could be written")
+
+        monkeypatch.setattr(presentations.tempfile, "mkstemp", read_only)
+        monkeypatch.setattr(presentations, "compute_block", boom)
+        with pytest.raises(OSError):
+            block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(tmp_path))
+        code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
+                         "--degree", "4", "--cache-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 def row_set_digest(s, weight):

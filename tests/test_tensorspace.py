@@ -7,7 +7,7 @@ import pytest
 import reference_ops as ref
 from hopfquotients.exactla import rank_distinct
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
-from hopfquotients.presentations import _CONJUGATION_DEFECT, RELATIONS, _block_rows
+from hopfquotients.presentations import _CONJUGATION_DEFECT, RELATIONS
 from hopfquotients.tensorspace import (
     adjoint,
     apply_atom,
@@ -106,8 +106,11 @@ class TestTensorBasis:
         assert keys == sorted(set(keys))
 
     def test_weight_length_check(self):
-        with pytest.raises(ValueError):
-            tensor_basis(SYM2, 2, (1, 1, 1))
+        for H in (SYM2, TEN2):
+            for n in (1, 2, 3):
+                for weight in [(1, 1, 1), (1,)]:
+                    with pytest.raises(ValueError, match="weight length must match num_vars"):
+                        tensor_basis(H, n, weight)
 
 
 class TestExplicitActions:
@@ -345,12 +348,11 @@ class TestApplyExprColumns:
         assert apply_expr(TEN2, (self.SWAP, ((1, ()),)), [], identity(self.BLOCK)) == {}
 
     def test_cancelled_terms_are_dropped(self):
-        # the sums keep a cancelled term as a zero; the block drops it
+        # the sums keep a cancelled term as a zero; relation_rows drops it
         basis = tensor_basis(TEN2, 2, (2, 1))
         cancelled = ((1, (("swap", 0, 1), ("S", 0))), (-1, (("swap", 0, 1), ("S", 0))))
         sums = apply_expr(TEN2, (cancelled,), basis, identity(basis))
         assert sums and not any(c for cols in sums.values() for c in cols.values())
-        assert _block_rows(TEN2, (cancelled,), basis, identity(basis)) == []
 
 
 class TestAdjoints:
