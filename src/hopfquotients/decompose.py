@@ -31,13 +31,17 @@ sum_kappa mult_kappa * K_{kappa,mu}.
 
 The number of variables is the row bound: rank many for sym, the
 degree for tensor; no partition with more rows can appear.
+
+With jobs > 1 the blocks missing from the memory cache go to one map
+on a pool of jobs workers, largest first, one block at a time: Graham's
+LPT rule.  tables.verify_against makes one such map over the blocks
+cell_blocks lists for all its cells, so no cell waits for the one
+before it, and then decomposes each cell from the memory cache.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 from .combinatorics import (
@@ -97,43 +101,21 @@ def _block_job(args):
     return block_result(spec, weight, cache_dir=cache_dir)
 
 
-# the pool of the outermost open workers() entry in this thread
-_open_pool = ContextVar("open_pool", default=None)
-
-
-@contextmanager
-def workers(jobs):
-    """The process pool that serves every cell computed inside: the
-    outermost entry with jobs > 1 opens a pool of jobs workers and
-    terminates it, which joins them, on the way out; a nested entry gets
-    the open pool, and an entry with jobs = 1 outside any pool gets None.
-    verify_against runs all its cells inside one entry."""
-    pool = _open_pool.get()
-    if pool is not None or jobs < 2:
-        yield pool
-        return
-    with multiprocessing.Pool(jobs) as pool:
-        token = _open_pool.set(pool)
-        try:
-            yield pool
-        finally:
-            _open_pool.reset(token)
-
-
-def _quotient_dims(blocks, jobs, cache_dir) -> dict:
-    """Quotient dimension of each (spec, weight) block.  Blocks missing
-    from the memory cache go to the pool of workers(jobs), largest first
-    and one at a time, when there are two or more of them: the pool of
-    the enclosing verify_against, else one for this cell alone."""
+def _pool_misses(blocks, jobs, cache_dir) -> None:
+    """Put the (spec, weight) blocks missing from the memory cache
+    there, when jobs > 1 and two or more are missing: one map on a pool
+    of jobs workers that opens and closes inside this call computes
+    them, largest first and one at a time, so that no worker is left
+    with a large block at the end.  Otherwise block_result computes them
+    in this process when they are read."""
     misses = [b for b in blocks if not in_memory(*b)]
     if jobs > 1 and len(misses) > 1:
         misses.sort(key=lambda b: block_cols(*b), reverse=True)
-        with workers(jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             computed = pool.map(_block_job, [(*b, cache_dir) for b in misses], chunksize=1)
         # a worker's memory cache is not the parent's; keep its results here
         for block, result in zip(misses, computed):
             remember_block(*block, result)
-    return {b: _block_job((*b, cache_dir)).quotient_dim for b in blocks}
 
 
 def _predicted(block, entries) -> int:
@@ -145,25 +127,17 @@ def _predicted(block, entries) -> int:
                for kappa, mult in entries.items())
 
 
-def decompose(
-    spec: FunctorSpec,
-    degree: int,
-    jobs: int = 1,
-    cache_dir=None,
-) -> Decomposition:
-    """Decompose one graded piece of the chosen functor.
-
-    The hopf algebra inside spec only contributes its kind, and its
-    generators must be even; the number of variables is replaced by the
-    row bound.
-    """
+def cell_blocks(spec: FunctorSpec, degree: int) -> tuple:
+    """The blocks decompose reads for one graded piece, as (wspec, hw,
+    checks): the weight spec on the row bound's number of variables, the
+    HW block of each partition of the degree in partitions_of order, and
+    the list of check blocks."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if spec.hopf.odd or spec.highest_weight:
         raise ValueError("decompose takes a spec of weight blocks over even generators")
     m = default_num_vars(spec, degree)
     wspec = spec.with_num_vars(m)
-    parts = partitions_of(degree, m)
     hw = replace(wspec, highest_weight=True)
     sym = wspec.hopf.kind == SYM
 
@@ -183,13 +157,30 @@ def decompose(
     r = min(wspec.rank if sym else 2, degree)
     hook = pad_weight((degree - r + 1,) + (1,) * (r - 1) if r else (), m)
     checks = [(wspec, hook)] if sym else [(wspec, hook), (odd(wspec), hook)]
+    return wspec, {lam: hw_block(lam) for lam in partitions_of(degree, m)}, checks
 
-    blocks = [hw_block(lam) for lam in parts]
+
+def decompose(
+    spec: FunctorSpec,
+    degree: int,
+    jobs: int = 1,
+    cache_dir=None,
+) -> Decomposition:
+    """Decompose one graded piece of the chosen functor.
+
+    The hopf algebra inside spec only contributes its kind, and its
+    generators must be even; the number of variables is replaced by the
+    row bound.
+    """
+    wspec, hw, checks = cell_blocks(spec, degree)
+    m = wspec.hopf.num_vars
+    blocks = [*hw.values(), *checks]
     # with one HW block there is nothing to share out, and a pool costs
     # more than the cell
-    dims = _quotient_dims(blocks + checks, jobs if len(blocks) > 1 else 1, cache_dir)
-    entries = {lam: dims[block] for lam, block in zip(parts, blocks) if dims[block]}
-    weight_dims = {lam: _predicted((wspec, pad_weight(lam, m)), entries) for lam in parts}
+    _pool_misses(blocks, jobs if len(hw) > 1 else 1, cache_dir)
+    dims = {b: block_result(*b, cache_dir=cache_dir).quotient_dim for b in blocks}
+    entries = {lam: dims[block] for lam, block in hw.items() if dims[block]}
+    weight_dims = {lam: _predicted((wspec, pad_weight(lam, m)), entries) for lam in hw}
     for check in checks:
         predicted = _predicted(check, entries)
         if dims[check] != predicted:

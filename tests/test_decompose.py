@@ -341,6 +341,17 @@ class TestHighestWeightSolve:
         assert err.startswith("error: check block") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_doctored_hw_block_exits_one_after_the_pool(self, monkeypatch, capsys):
+        # doctored before the pool forks, so a worker computes the
+        # doctored block, and the cell's check block runs after the map
+        self.doctor(monkeypatch, (5, 1, 0), -1)
+        code = cli.main(["verify", "--functor", "Omega", "--rank", "3", "--hopf", "sym",
+                         "--max-degree", "6", "--jobs", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: check block") and "Traceback" not in err
+
     @pytest.mark.parametrize("reading", [general_reading, reversed_reading])
     def test_readings_steer_the_hw_blocks(self, reading):
         s = spec(H_FUNCTOR, 3, SYM)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hopfquotients import presentations
+from hopfquotients.presentations import block_cols
 from hopfquotients.tables import (
     UNKNOWN,
     ZERO,
@@ -149,8 +150,8 @@ class TestVerifyAgainst:
 
 
 class TestOnePool:
-    """verify_against computes all its cells on one pool and leaves no
-    worker behind, also when a worker's block raises."""
+    """verify_against computes the blocks of all its cells on one pool
+    map and leaves no worker behind, also when a worker's block raises."""
 
     def test_one_pool_per_verify_run(self, clean_cache, table, monkeypatch):
         serial = verify_against(table, rank=2, hopf="tensor", max_degree=5)
@@ -167,6 +168,49 @@ class TestOnePool:
         assert verify_against(table, rank=2, hopf="tensor", max_degree=5, jobs=2) == serial
         assert started == [(2,)]
         assert multiprocessing.active_children() == []
+
+    def test_one_largest_first_map_for_every_block_of_the_run(self, clean_cache, table,
+                                                              monkeypatch):
+        serial = verify_against(table, hopf="tensor", max_degree=5)
+        # the serial run leaves exactly the blocks of its cells in the cache
+        used = set(presentations._MEM_CACHE)
+        maps = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=None):
+                maps.append((list(jobs), chunksize))
+                return [fn(job) for job in jobs]
+
+        clean_cache()
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        assert verify_against(table, hopf="tensor", max_degree=5, jobs=2) == serial
+        # one map, so no cell waits for the one before it
+        assert len(maps) == 1
+        handed, chunksize = maps[0]
+        assert chunksize == 1
+        assert len(handed) == len(used)
+        assert {presentations._cache_token(spec, weight) for spec, weight, _ in handed} == used
+        assert {spec.rank for spec, _, _ in handed} == {2, 3}
+        sizes = [block_cols(spec, weight) for spec, weight, _ in handed]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_no_pool_when_every_block_is_cached(self, table, monkeypatch):
+        first = verify_against(table, hopf="tensor", rank=2, max_degree=5, jobs=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("every block is cached; no pool needed")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert verify_against(table, hopf="tensor", rank=2, max_degree=5, jobs=2) == first
 
     def test_pool_written_records_serve_a_serial_run(self, clean_cache, table, tmp_path,
                                                      monkeypatch):
