@@ -32,11 +32,12 @@ sum_kappa mult_kappa * K_{kappa,mu}.
 The number of variables is the row bound: rank many for sym, the
 degree for tensor; no partition with more rows can appear.
 
-With jobs > 1 the blocks missing from the memory cache go to one map
-on a pool of jobs workers, largest first, one block at a time: Graham's
-LPT rule.  tables.verify_against makes one such map over the blocks
-cell_blocks lists for all its cells, so no cell waits for the one
-before it, and then decomposes each cell from the memory cache.
+With jobs > 1 the blocks missing from the memory cache, after the disk
+records are read, go to one map on a pool of jobs workers, largest
+first, one block at a time: Graham's LPT rule.  tables.verify_against
+makes one such map over the blocks cell_blocks lists for all its cells,
+so no cell waits for the one before it, and then decomposes each cell
+from the memory cache.
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ from .combinatorics import (
     weyl_dim,
 )
 from .hopf import SYM
-from .presentations import FunctorSpec, block_cols, block_result, in_memory, remember_block
+from .presentations import (
+    FunctorSpec,
+    block_cols,
+    block_result,
+    cached_result,
+    remember_block,
+)
 from .version import engine_version
 
 VIOLATION = "VIOLATION"
@@ -102,13 +109,14 @@ def _block_job(args):
 
 
 def _pool_misses(blocks, jobs, cache_dir) -> None:
-    """Put the (spec, weight) blocks missing from the memory cache
-    there, when jobs > 1 and two or more are missing: one map on a pool
-    of jobs workers that opens and closes inside this call computes
-    them, largest first and one at a time, so that no worker is left
-    with a large block at the end.  Otherwise block_result computes them
-    in this process when they are read."""
-    misses = [b for b in blocks if not in_memory(*b)]
+    """Put the (spec, weight) blocks that neither cache holds in the
+    memory cache, when jobs > 1 and two or more are missing: one map on
+    a pool of jobs workers that opens and closes inside this call
+    computes them, largest first and one at a time, so that no worker is
+    left with a large block at the end.  Disk records are read here, so
+    a warm cache_dir starts no pool.  Otherwise block_result computes
+    the misses in this process when they are read."""
+    misses = [b for b in blocks if cached_result(*b, cache_dir) is None]
     if jobs > 1 and len(misses) > 1:
         misses.sort(key=lambda b: block_cols(*b), reverse=True)
         with multiprocessing.Pool(jobs) as pool:

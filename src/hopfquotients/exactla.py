@@ -3,18 +3,28 @@
 Rows live in dicts column -> integer coefficient.  rank_distinct is the
 engine's entry point: it normalizes the rows (content divided out,
 leading coefficient positive), drops repeats of a line before any
-elimination, and hands the rest to rank_sparse.  That is a
-fraction-free elimination in big integers: a pivot step replaces row_j
-by (p * row_j - v * row_i), divided by its content, so no rationals
-ever appear and every row stays primitive.  Pivots follow Markowitz's
-rule exactly: each step scans the live columns, those that still hold
-an unretired row, takes the one holding the fewest rows (ties to the
-lowest index), and within it the shortest row (ties to the lowest
-index).  So a given matrix always eliminates the same way.  After k
-steps no unretired row has an entry in the k pivot columns, so on n
-columns the next scan sees at most n - k of them, and the scans cost at
-most n(n + 1)/2, about n^2/2, key evaluations in all.
-Dividing a row by its content changes no entry's support, so it
+elimination, and hands the rest to rank_sparse.
+
+rank_sparse eliminates the columns, since rank(A) = rank(A^T).  The
+engine's blocks are tall: a block has several times as many distinct
+rows as columns, and its corank, the multiplicity it is asked for, is
+small.  Among the rows almost all are dependent, and an elimination of
+rows carries each of them through fill-in until it cancels; among the
+columns at most the corank are.  So the lines eliminated are the
+columns, and a line's positions are row indices.
+
+The elimination is fraction-free, in big integers: a pivot step
+replaces line_j by (p * line_j - v * line_i), divided by its content, so
+no rationals ever appear and every line stays primitive after its first
+update.  Pivots follow Markowitz's rule exactly: each step scans the
+live positions, those that still hold an unretired line, takes the one
+holding the fewest lines (ties to the lowest index), and within it the
+shortest line (ties to the lowest index).  So a given matrix always
+eliminates the same way.  Each step retires its pivot line, so on n
+lines over P positions there are at most n steps, and each scans at most
+P positions and n lines: at most n * (P + n) key evaluations in all.
+With the columns as lines, n is the short side.
+Dividing a line by its content changes no entry's support, so it
 changes no pivot either.
 """
 
@@ -24,7 +34,7 @@ from math import gcd
 
 
 def _primitive(row: dict) -> dict:
-    """A row with no zero entries, divided by its content ({} stays {})."""
+    """A vector with no zero entries, divided by its content ({} stays {})."""
     g = gcd(*row.values())
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
@@ -59,52 +69,59 @@ def rank_distinct(rows) -> int:
 
 
 def rank_sparse(rows) -> int:
-    """Rank of the span of the given rows, fraction-free.  Rows hold no
-    zero entries; neither the list nor its rows are modified."""
-    live = [r for r in rows if r]
-    # cols[c] holds the unretired rows with an entry in column c; a
-    # column leaves as soon as it holds none
-    cols: dict[int, set] = {}
-    for i, row in enumerate(live):
-        for c in row:
-            cols.setdefault(c, set()).add(i)
+    """Rank of the span of the given rows, fraction-free, found as the
+    rank of their columns.  Rows hold no zero entries; neither the list
+    nor its rows are modified."""
+    # the lines are the rows' columns in column order, each a dict row
+    # index -> coefficient
+    by_col: dict[int, dict] = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            by_col.setdefault(c, {})[i] = v
+    lines = [line for _, line in sorted(by_col.items())]
+    # at[p] holds the unretired lines with an entry at position p; a
+    # position leaves as soon as it holds none
+    at: dict[int, set] = {}
+    for i, line in enumerate(lines):
+        for p in line:
+            at.setdefault(p, set()).add(i)
 
-    def retire(col, i):
-        cols[col].discard(i)
-        if not cols[col]:
-            del cols[col]
+    def retire(p, i):
+        at[p].discard(i)
+        if not at[p]:
+            del at[p]
 
     rank = 0
-    while cols:
-        c = min(cols, key=lambda c: (len(cols[c]), c))
-        members = cols[c]
-        pivot = min(members, key=lambda i: (len(live[i]), i))
-        prow = live[pivot]
-        pval = prow[c]
+    while at:
+        p = min(at, key=lambda p: (len(at[p]), p))
+        members = at[p]
+        pivot = min(members, key=lambda i: (len(lines[i]), i))
+        pline = lines[pivot]
+        pval = pline[p]
         rank += 1
-        for col in prow:
-            retire(col, pivot)
+        for q in pline:
+            retire(q, pivot)
         for j in list(members):
-            jrow = live[j]
-            v = jrow[c]
+            jline = lines[j]
+            v = jline[p]
             g = gcd(pval, v)
             mj, mi = pval // g, v // g
             new = {}
-            for col, val in jrow.items():
-                new[col] = mj * val
-            for col, val in prow.items():
-                cur = new.get(col, 0) - mi * val
+            for q, val in jline.items():
+                new[q] = mj * val
+            for q, val in pline.items():
+                cur = new.get(q, 0) - mi * val
                 if cur:
-                    new[col] = cur
-                elif col in new:
-                    del new[col]
+                    new[q] = cur
+                elif q in new:
+                    del new[q]
             if new:
                 new = _primitive(new)
-            for col in jrow:
-                if col not in new:
-                    retire(col, j)
-            for col in new:
-                if col not in jrow:
-                    cols.setdefault(col, set()).add(j)
-            live[j] = new
+            for q in jline:
+                if q not in new:
+                    retire(q, j)
+            for q in new:
+                if q not in jline:
+                    at.setdefault(q, set()).add(j)
+            lines[j] = new
     return rank

@@ -463,9 +463,17 @@ def _read_record(path, spec: FunctorSpec, weight):
     return BlockResult(ambient, rank)
 
 
-def in_memory(spec: FunctorSpec, weight) -> bool:
-    """Whether block_result would answer from the in-memory cache."""
-    return _cache_token(spec, weight) in _MEM_CACHE
+def cached_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult | None:
+    """The result block_result answers with before computing anything:
+    the in-memory cache's, else that of a disk record that checks out,
+    which then joins the in-memory cache; None for a miss."""
+    token = _cache_token(spec, weight)
+    hit = _MEM_CACHE.get(token)
+    if hit is None and cache_dir:
+        hit = _read_record(_cache_path(cache_dir, token), spec, weight)
+        if hit is not None:
+            _MEM_CACHE[token] = hit
+    return hit
 
 
 def remember_block(spec: FunctorSpec, weight, result: BlockResult) -> None:
@@ -478,17 +486,13 @@ def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
     """compute_block with an in-memory cache (last writer wins) and an
     optional on-disk cache keyed by content and engine version.  A disk
     record that does not check out is a cache miss."""
-    token = _cache_token(spec, weight)
-    hit = _MEM_CACHE.get(token)
+    hit = cached_result(spec, weight, cache_dir)
     if hit is not None:
         return hit
+    token = _cache_token(spec, weight)
     fh = None
     if cache_dir:
         path = _cache_path(cache_dir, token)
-        result = _read_record(path, spec, weight)
-        if result is not None:
-            _MEM_CACHE[token] = result
-            return result
         # open the record before the block is computed, so that a
         # cache_dir that cannot hold it fails first
         os.makedirs(cache_dir, exist_ok=True)

@@ -134,7 +134,7 @@ class TestDecompositionShape:
         # conjugates
         for block in [(hw, (4, 0, 0, 0)), (hw, (3, 1, 0, 0)), (hw, (2, 2, 0, 0)),
                       (odd, (4, 0, 0, 0)), (odd, (3, 1, 0, 0))]:
-            assert presentations.in_memory(*block), block
+            assert presentations.cached_result(*block) is not None, block
 
         def boom(*a, **k):
             raise AssertionError("should have come from the memory cache")
@@ -295,8 +295,8 @@ class TestHighestWeightSolve:
         assert parallel.weight_dims == serial.weight_dims
         hw = replace(parallel.spec, highest_weight=True)
         for lam in partitions_of(6, 3):
-            assert presentations.in_memory(hw, pad_weight(lam, 3)), lam
-        assert presentations.in_memory(parallel.spec, (4, 1, 1))
+            assert presentations.cached_result(hw, pad_weight(lam, 3)) is not None, lam
+        assert presentations.cached_result(parallel.spec, (4, 1, 1)) is not None
 
         def boom(*a, **k):
             raise AssertionError("should have come from the memory cache")

@@ -161,6 +161,26 @@ class TestSparseAgainstDense:
             assert rank_sparse(rows + [combo]) == base
 
 
+class TestShortSide:
+    def test_dependent_rows_are_not_eliminated(self, monkeypatch):
+        # 200 combinations of 5 rows over 8 columns: eliminating the 8
+        # columns takes at most 7 + 6 + 5 + 4 + 3 line updates, while
+        # eliminating the rows would carry the 195 dependent ones through
+        # every pivot step
+        rng = random.Random(5)
+        base = [{c: rng.randint(-4, 4) for c in range(8)} for _ in range(5)]
+        rows = []
+        for _ in range(200):
+            k = [rng.randint(-3, 3) for _ in base]
+            row = {c: sum(ki * b[c] for ki, b in zip(k, base)) for c in range(8)}
+            rows.append({c: v for c, v in row.items() if v})
+        calls = []
+        real = exactla._primitive
+        monkeypatch.setattr(exactla, "_primitive", lambda row: calls.append(row) or real(row))
+        assert rank_sparse(rows) == rank_dense(rows, 8) == 5
+        assert 0 < len(calls) <= 8 * 5
+
+
 class TestDeterminism:
     def test_same_input_same_path(self):
         rng = random.Random(99)
@@ -168,9 +188,11 @@ class TestDeterminism:
         assert rank_sparse(rows) == rank_sparse([dict(r) for r in rows])
 
     def test_cheapest_live_column_first(self, monkeypatch):
-        # once column 0 is pivoted, column 2 holds one live row and
-        # column 1 two: the exact rule pivots on 2, then 1, and no step
-        # has anything to eliminate
+        # the lines eliminated are the columns {1: -1}, {0: 1, 2: -1} and
+        # {0: 1, 1: 2}, whose positions are the row indices: position 2
+        # lies on one line and 0 and 1 on two each.  The exact rule
+        # pivots on 2, which leaves 0 on one line, then on 0 and last on
+        # 1, and no step has anything to eliminate
         calls = []
         real = exactla._primitive
         monkeypatch.setattr(exactla, "_primitive", lambda row: calls.append(row) or real(row))

@@ -227,6 +227,19 @@ class TestOnePool:
         assert verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=1,
                               cache_dir=str(tmp_path)) == pooled
 
+    def test_no_pool_on_a_warm_cache_dir(self, clean_cache, table, tmp_path, monkeypatch):
+        cold = verify_against(table, hopf="tensor", max_degree=5, cache_dir=str(tmp_path))
+        # every block is now on disk and none in memory
+        clean_cache()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("every block is on disk; no pool needed")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(presentations, "compute_block", no_pool)
+        assert verify_against(table, hopf="tensor", max_degree=5, jobs=2,
+                              cache_dir=str(tmp_path)) == cold
+
     def test_a_worker_error_reaches_the_caller(self, clean_cache, table, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
@@ -263,12 +276,12 @@ class TestNewTensorCells:
         # partitions of its degree
         return load_expected(NEW_TENSOR_CELLS)
 
-    def test_the_eight_open_cells(self, cells, table):
+    def test_the_ten_open_cells(self, cells, table):
         keys = [(e["functor"], e["rank"], e["hopf"], e["degree"]) for e in cells["entries"]]
         assert sorted(keys) == sorted(
             (functor, rank, "tensor", degree)
             for functor in ("H", "Omega")
-            for rank, degrees in ((2, (7, 8)), (3, (6, 7)))
+            for rank, degrees in ((2, (7, 8)), (3, (6, 7, 8)))
             for degree in degrees
         )
         packaged = {(e["functor"], e["rank"], e["hopf"], e["degree"]): e["value"]
