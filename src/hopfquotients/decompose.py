@@ -111,15 +111,16 @@ def _block_job(args):
 def _pool_misses(blocks, jobs, cache_dir) -> None:
     """Put the (spec, weight) blocks that neither cache holds in the
     memory cache, when jobs > 1 and two or more are missing: one map on
-    a pool of jobs workers that opens and closes inside this call
-    computes them, largest first and one at a time, so that no worker is
-    left with a large block at the end.  Disk records are read here, so
+    a pool that opens and closes inside this call computes them, largest
+    first and one at a time, so that no worker is left with a large
+    block at the end.  The pool has jobs workers, or one per missing
+    block when there are fewer.  Disk records are read here, so
     a warm cache_dir starts no pool.  Otherwise block_result computes
     the misses in this process when they are read."""
     misses = [b for b in blocks if cached_result(*b, cache_dir) is None]
     if jobs > 1 and len(misses) > 1:
         misses.sort(key=lambda b: block_cols(*b), reverse=True)
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(misses))) as pool:
             computed = pool.map(_block_job, [(*b, cache_dir) for b in misses], chunksize=1)
         # a worker's memory cache is not the parent's; keep its results here
         for block, result in zip(misses, computed):

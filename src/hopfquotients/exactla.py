@@ -17,13 +17,19 @@ The elimination is fraction-free, in big integers: a pivot step
 replaces line_j by (p * line_j - v * line_i), divided by its content, so
 no rationals ever appear and every line stays primitive after its first
 update.  Pivots follow Markowitz's rule exactly: each step scans the
-live positions, those that still hold an unretired line, takes the one
+live positions, those that still hold a live line, takes the one
 holding the fewest lines (ties to the lowest index), and within it the
-shortest line (ties to the lowest index).  So a given matrix always
-eliminates the same way.  Each step retires its pivot line, so on n
-lines over P positions there are at most n steps, and each scans at most
-P positions and n lines: at most n * (P + n) key evaluations in all.
-With the columns as lines, n is the short side.
+shortest line (ties to the lowest column index).  So a given matrix
+always eliminates the same way.
+
+Each line is held once, in one dict keyed by column index; a pivot line
+leaves it when it retires, and so does a line that empties.  The rule
+needs only how many live lines hold each position, so a position keeps
+that count and no list of its lines: the lines at the chosen position
+are found by one scan over the live lines.  Each step retires its pivot
+line, so on n lines over P positions there are at most n steps, and
+each scans at most P positions and n lines: at most n * (P + n) key
+evaluations in all.  With the columns as lines, n is the short side.
 Dividing a line by its content changes no entry's support, so it
 changes no pivot either.
 """
@@ -71,57 +77,59 @@ def rank_distinct(rows) -> int:
 def rank_sparse(rows) -> int:
     """Rank of the span of the given rows, fraction-free, found as the
     rank of their columns.  Rows hold no zero entries; neither the list
-    nor its rows are modified."""
-    # the lines are the rows' columns in column order, each a dict row
-    # index -> coefficient
-    by_col: dict[int, dict] = {}
+    nor its rows are modified.  The columns are held once, in a dict
+    keyed by column index; each row index keeps only a count of the
+    live columns with an entry there, and the columns at a pivot's row
+    are found by a scan (see the module docstring)."""
+    # the live lines, keyed by column index: each is the row index ->
+    # coefficient dict of a column
+    lines: dict[int, dict] = {}
     for i, row in enumerate(rows):
         for c, v in row.items():
-            by_col.setdefault(c, {})[i] = v
-    lines = [line for _, line in sorted(by_col.items())]
-    # at[p] holds the unretired lines with an entry at position p; a
-    # position leaves as soon as it holds none
-    at: dict[int, set] = {}
-    for i, line in enumerate(lines):
-        for p in line:
-            at.setdefault(p, set()).add(i)
+            lines.setdefault(c, {})[i] = v
+    # count[p] is the number of live lines with an entry at position p,
+    # at first the length of row p; a position leaves as soon as it holds
+    # none
+    count = {i: len(row) for i, row in enumerate(rows) if row}
 
-    def retire(p, i):
-        at[p].discard(i)
-        if not at[p]:
-            del at[p]
+    def retire(p):
+        if count[p] == 1:
+            del count[p]
+        else:
+            count[p] -= 1
 
     rank = 0
-    while at:
-        p = min(at, key=lambda p: (len(at[p]), p))
-        members = at[p]
-        pivot = min(members, key=lambda i: (len(lines[i]), i))
-        pline = lines[pivot]
+    while count:
+        p = min(count, key=lambda p: (count[p], p))
+        members = [c for c, line in lines.items() if p in line]
+        pivot = min(members, key=lambda c: (len(lines[c]), c))
+        members.remove(pivot)
+        pline = lines.pop(pivot)
         pval = pline[p]
         rank += 1
         for q in pline:
-            retire(q, pivot)
-        for j in list(members):
+            retire(q)
+        for j in members:
             jline = lines[j]
             v = jline[p]
             g = gcd(pval, v)
             mj, mi = pval // g, v // g
-            new = {}
-            for q, val in jline.items():
-                new[q] = mj * val
+            new = {q: mj * val for q, val in jline.items()}
             for q, val in pline.items():
                 cur = new.get(q, 0) - mi * val
                 if cur:
                     new[q] = cur
-                elif q in new:
+                else:
+                    # mi * val is nonzero, so q was in the line
                     del new[q]
-            if new:
-                new = _primitive(new)
             for q in jline:
                 if q not in new:
-                    retire(q, j)
+                    retire(q)
             for q in new:
                 if q not in jline:
-                    at.setdefault(q, set()).add(j)
-            lines[j] = new
+                    count[q] = count.get(q, 0) + 1
+            if new:
+                lines[j] = _primitive(new)
+            else:
+                del lines[j]
     return rank

@@ -185,6 +185,33 @@ class TestDecompositionShape:
         decompose(s, 1, jobs=2)
         assert handed == []
 
+    def test_no_more_workers_than_missing_blocks(self, monkeypatch, clean_cache):
+        sizes = []
+        maps = []
+
+        class RecordingPool:
+            # records its size and starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=None):
+                maps.append(len(jobs))
+                return [fn(job) for job in jobs]
+
+        s = spec(H_FUNCTOR, 2, TENSOR)
+        serial = decompose(s, 3)
+        clean_cache()
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        assert decompose(s, 3, jobs=64).entries == serial.entries
+        # three HW blocks and two check blocks, so five workers, not 64
+        assert sizes == maps == [5]
+
     def test_negative_degree(self):
         with pytest.raises(ValueError):
             decompose(spec(H_FUNCTOR, 2, SYM), -1)

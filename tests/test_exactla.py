@@ -1,11 +1,16 @@
 import copy
 import random
+import tracemalloc
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfquotients import exactla
+from hopfquotients.decompose import cell_blocks
 from hopfquotients.exactla import _normalize_row, rank_distinct, rank_sparse
+from hopfquotients.hopf import TENSOR, HopfAlgebra
+from hopfquotients.presentations import H_FUNCTOR, FunctorSpec, compute_block
 from reference_dims import rank_dense
 
 
@@ -208,3 +213,52 @@ class TestDeterminism:
         before = copy.deepcopy(rows)
         assert rank_sparse(rows) == rank_dense(rows, 8) < len(rows)
         assert rows == before
+
+
+class TestEngineBlock:
+    """rank_sparse on the rows compute_block hands it for the H rank-3
+    tensor degree-5 HW block at (3, 1, 1): 545 distinct rows over 126
+    columns, of full rank."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        _, hw, _ = cell_blocks(FunctorSpec(H_FUNCTOR, 3, HopfAlgebra(TENSOR, 1)), 5)
+        handed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
+            compute_block(*hw[(3, 1, 1)])
+        (rows,) = handed
+        assert len(rows) == 545
+        return rows
+
+    def test_holds_one_copy_of_each_line(self, rows):
+        # the elimination holds each live column once and a count per
+        # row, so its peak above the input stays within twice the size
+        # of a copy of the input; a second copy of the columns, retired
+        # pivot lines or a set of lines per row would take it past that
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = copy.deepcopy(rows)
+            size = tracemalloc.get_traced_memory()[0] - before
+            del held
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert rank_sparse(rows) == 126
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert 0 < peak <= 2 * size
+
+    def test_the_work_is_pinned(self, rows, monkeypatch):
+        # every line update passes the updated line to _primitive, so
+        # these count the updates and the entries they write; a change
+        # of pivot rule shows here as a change of work
+        lengths = []
+        real = exactla._primitive
+        monkeypatch.setattr(exactla, "_primitive", lambda row: lengths.append(len(row)) or real(row))
+        assert rank_sparse(rows) == 126
+        assert (len(lengths), sum(lengths)) == (93, 9173)
