@@ -25,13 +25,25 @@ always eliminates the same way.
 Each line is held once, in one dict keyed by column index; a pivot line
 leaves it when it retires, and so does a line that empties.  The rule
 needs only how many live lines hold each position, so a position keeps
-that count and no list of its lines: the lines at the chosen position
-are found by one scan over the live lines.  Each step retires its pivot
-line, so on n lines over P positions there are at most n steps, and
-each scans at most P positions and n lines: at most n * (P + n) key
-evaluations in all.  With the columns as lines, n is the short side.
-Dividing a line by its content changes no entry's support, so it
-changes no pivot either.
+that count and no list of its lines.  A step takes the least count with
+one min over the counts and the lowest position holding it with one
+more pass over them, then finds the lines at that position by one scan
+over the live lines, which stops at the first when the position lies
+on one line.  Each update is one pass over the pivot line, which keeps
+the counts in step: an entry the updated line lacked is fill-in and
+adds one to its position, and an entry that cancels takes one off.  So
+on n lines over P positions there are at most n steps, each costing
+two passes over at most P counts, a scan of at most n lines and, for
+each line it updates, the length of the pivot line.  With the columns
+as lines, n is the short side.
+
+Dividing a line by its content changes no entry's support, and nor
+does negating it, so neither changes a pivot.  When p divides v, that
+is p / g = +-1 for g = gcd(p, v), the update starts from a copy of
+line_j: line_j - (v / p) * line_i is (p * line_j - v * line_i) / g times
+p / g, so it has the update's support and content.  A line may then
+differ in sign from the one the formula gives, never in support, so
+the elimination takes the same pivots and writes the same entries.
 """
 
 from __future__ import annotations
@@ -79,8 +91,9 @@ def rank_sparse(rows) -> int:
     rank of their columns.  Rows hold no zero entries; neither the list
     nor its rows are modified.  The columns are held once, in a dict
     keyed by column index; each row index keeps only a count of the
-    live columns with an entry there, and the columns at a pivot's row
-    are found by a scan (see the module docstring)."""
+    live columns with an entry there, the columns at a pivot's row are
+    found by a scan, and each update is one pass over the pivot column
+    that also keeps the counts (see the module docstring)."""
     # the live lines, keyed by column index: each is the row index ->
     # coefficient dict of a column
     lines: dict[int, dict] = {}
@@ -91,43 +104,56 @@ def rank_sparse(rows) -> int:
     # at first the length of row p; a position leaves as soon as it holds
     # none
     count = {i: len(row) for i, row in enumerate(rows) if row}
-
-    def retire(p):
-        if count[p] == 1:
-            del count[p]
-        else:
-            count[p] -= 1
-
     rank = 0
     while count:
-        p = min(count, key=lambda p: (count[p], p))
-        members = [c for c, line in lines.items() if p in line]
-        pivot = min(members, key=lambda c: (len(lines[c]), c))
-        members.remove(pivot)
+        least = min(count.values())
+        p = min([q for q, n in count.items() if n == least])
+        if least == 1:
+            pivot = next(c for c, line in lines.items() if p in line)
+            members = ()
+        else:
+            members = [c for c, line in lines.items() if p in line]
+            pivot = min(members, key=lambda c: (len(lines[c]), c))
+            members.remove(pivot)
         pline = lines.pop(pivot)
         pval = pline[p]
         rank += 1
         for q in pline:
-            retire(q)
+            if count[q] == 1:
+                del count[q]
+            else:
+                count[q] -= 1
         for j in members:
             jline = lines[j]
             v = jline[p]
             g = gcd(pval, v)
             mj, mi = pval // g, v // g
-            new = {q: mj * val for q, val in jline.items()}
+            if mj == 1 or mj == -1:
+                # pval divides v, and jline - (v // pval) * pline is mj
+                # times the update (module docstring)
+                new = jline.copy()
+                mi *= mj
+            else:
+                new = {q: mj * val for q, val in jline.items()}
             for q, val in pline.items():
-                cur = new.get(q, 0) - mi * val
+                cur = new.get(q)
+                if cur is None:
+                    # fill-in.  q held at least as many lines as p, and
+                    # this line is one of p's but not of q's, so some
+                    # line at q is left alone by this step: q is live
+                    new[q] = -mi * val
+                    count[q] += 1
+                    continue
+                cur -= mi * val
                 if cur:
                     new[q] = cur
                 else:
-                    # mi * val is nonzero, so q was in the line
+                    # cancellation: the line leaves q
                     del new[q]
-            for q in jline:
-                if q not in new:
-                    retire(q)
-            for q in new:
-                if q not in jline:
-                    count[q] = count.get(q, 0) + 1
+                    if count[q] == 1:
+                        del count[q]
+                    else:
+                        count[q] -= 1
             if new:
                 lines[j] = _primitive(new)
             else:

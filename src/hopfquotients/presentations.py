@@ -295,18 +295,22 @@ def semistandard_tableaux(shape, n: int) -> list:
     return tableaux
 
 
-def _bideterminant(tableau, offsets) -> dict:
+def _bideterminant(tableau, offsets, minors: dict) -> dict:
     """The product of the column minors of tableau, as a polynomial
     {packed monomial: coefficient}; offsets[s][j] is the bit offset of
-    the exponent of x_{s, j} in a packed monomial."""
+    the exponent of x_{s, j} in a packed monomial.  minors maps each
+    column already expanded to its minor, and gains the others, so a
+    basis expands each distinct column once."""
     poly = {0: 1}
     for c in range(len(tableau[0]) if tableau else 0):
-        column = [row[c] for row in tableau if len(row) > c]
-        minor = {}
-        for perm in permutations(range(len(column))):
-            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-            monomial = sum(1 << offsets[s][j] for s, j in zip(column, perm))
-            minor[monomial] = (-1) ** inversions
+        column = tuple(row[c] for row in tableau if len(row) > c)
+        minor = minors.get(column)
+        if minor is None:
+            minor = minors[column] = {}
+            for perm in permutations(range(len(column))):
+                inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+                monomial = sum(1 << offsets[s][j] for s, j in zip(column, perm))
+                minor[monomial] = (-1) ** inversions
         product: dict = {}
         for a, x in poly.items():
             for b, y in minor.items():
@@ -374,7 +378,8 @@ def _highest_weight_basis(H: HopfAlgebra, n: int, weight: tuple):
         word = sum(words, ())
         return tuple(tuple(word[a:b] for a, b in zip(cut, cut[1:])) for cut in cuts)
 
-    vectors = [_bideterminant(tableau, offsets) for tableau in tableaux]
+    minors: dict = {}
+    vectors = [_bideterminant(tableau, offsets, minors) for tableau in tableaux]
     # vector i in cut c is basis vector c * len(vectors) + i
     leads = [tuples(max(vector)) for vector in vectors]
     basis = tuple(lead[c] for c in range(len(cuts)) for lead in leads)

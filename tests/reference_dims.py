@@ -5,13 +5,16 @@ quotient_dim reads one block's quotient dimension through the engine's
 cached path.  h1_dim is the rank-1 quotient computed from an explicit
 commutator spanning set, and gl2_h1_dim a small exact model of
 degree-one GL_2(Z) cohomology.  rank_dense is a textbook elimination
-over Fraction that the sparse integer rank must agree with.  mf_dim,
+over Fraction that the sparse integer rank must agree with, and
+keyed_pivot_path the Markowitz column elimination of rank_sparse
+written as the keyed scan it replaced, whose path of updated lines
+rank_sparse must follow.  mf_dim,
 dominates and weight_to_partition are the remaining combinatorial
 helpers.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hopfquotients.exactla import rank_sparse
 from hopfquotients.hopf import TENSOR, HopfAlgebra, add_into
@@ -135,6 +138,77 @@ def rank_dense(rows, ncols: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def keyed_pivot_path(rows):
+    """rank_sparse's elimination with a keyed min over every live
+    position and four passes over each updated line: the position with
+    the fewest live lines (ties to the lowest index), within it the
+    shortest line (ties to the lowest column index), and the update
+    p * line_j - v * line_i divided by its content.
+
+    Returns (rank, path, seen): path lists the support of each updated
+    line that did not empty, sorted, in update order, and seen is the set of cases the
+    updates met: "unit" and "scaled" for a multiplier of line_j of
+    absolute value 1 and above, "cancel" for an entry cancelled away
+    from the pivot's position, "refill" for fill-in at a position no
+    live line held any more, and "empty" for a line that emptied."""
+    lines: dict = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            lines.setdefault(c, {})[i] = v
+    count = {i: len(row) for i, row in enumerate(rows) if row}
+
+    def retire(p):
+        if count[p] == 1:
+            del count[p]
+        else:
+            count[p] -= 1
+
+    rank = 0
+    path = []
+    seen = set()
+    while count:
+        p = min(count, key=lambda p: (count[p], p))
+        members = [c for c, line in lines.items() if p in line]
+        pivot = min(members, key=lambda c: (len(lines[c]), c))
+        members.remove(pivot)
+        pline = lines.pop(pivot)
+        pval = pline[p]
+        rank += 1
+        for q in pline:
+            retire(q)
+        for j in members:
+            jline = lines[j]
+            v = jline[p]
+            g = gcd(pval, v)
+            mj, mi = pval // g, v // g
+            seen.add("unit" if abs(mj) == 1 else "scaled")
+            new = {q: mj * val for q, val in jline.items()}
+            for q, val in pline.items():
+                cur = new.get(q, 0) - mi * val
+                if cur:
+                    new[q] = cur
+                else:
+                    del new[q]
+                    if q != p:
+                        seen.add("cancel")
+            for q in jline:
+                if q not in new:
+                    retire(q)
+            for q in new:
+                if q not in jline:
+                    if q not in count:
+                        seen.add("refill")
+                    count[q] = count.get(q, 0) + 1
+            if new:
+                path.append(sorted(new))
+                g = gcd(*new.values())
+                lines[j] = {q: val // g for q, val in new.items()}
+            else:
+                seen.add("empty")
+                del lines[j]
+    return rank, path, seen
 
 
 # --- combinatorics -----------------------------------------------------

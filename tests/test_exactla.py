@@ -11,7 +11,7 @@ from hopfquotients.decompose import cell_blocks
 from hopfquotients.exactla import _normalize_row, rank_distinct, rank_sparse
 from hopfquotients.hopf import TENSOR, HopfAlgebra
 from hopfquotients.presentations import H_FUNCTOR, FunctorSpec, compute_block
-from reference_dims import rank_dense
+from reference_dims import keyed_pivot_path, rank_dense
 
 
 def random_rows(rng, nrows, ncols, density=0.4, lo=-5, hi=5):
@@ -215,6 +215,44 @@ class TestDeterminism:
         assert rows == before
 
 
+def pivot_path(rows, monkeypatch):
+    """rank_sparse's rank and the support of each line it hands
+    _primitive, sorted, in update order."""
+    path = []
+    real = exactla._primitive
+    monkeypatch.setattr(exactla, "_primitive", lambda row: path.append(sorted(row)) or real(row))
+    return rank_sparse(rows), path
+
+
+class TestPivotPath:
+    def test_seeded_random_matrices(self, monkeypatch):
+        # random rows, with repeats and combinations of rows appended, so
+        # that positions share lines, entries cancel and lines empty
+        rng = random.Random(1957)
+        seen = set()
+        for _ in range(300):
+            ncols = rng.randint(1, 9)
+            rows = random_rows(rng, rng.randint(1, 9), ncols, density=rng.choice((0.3, 0.6)))
+            for _ in range(rng.randint(0, 4)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = rng.choice((1, -1, 2, -3))
+                combo = {c: k * a.get(c, 0) - b.get(c, 0) for c in a.keys() | b.keys()}
+                rows.append({c: v for c, v in combo.items() if v})
+                rows.append(dict(rng.choice(rows)))
+            rank, path, cases = keyed_pivot_path(rows)
+            assert pivot_path(rows, monkeypatch) == (rank, path), rows
+            assert rank == rank_dense(rows, ncols)
+            seen |= cases
+        # multipliers of +-1 and above, cancellation away from the pivot's
+        # position and lines that empty all ran.  Fill-in never lands on
+        # a position the step emptied: the position chosen holds the
+        # fewest lines, so a position q of the pivot line holds, besides
+        # it, at least as many lines as the step updates; a line that
+        # fills in at q is updated but not at q, so one of q's lines is
+        # left alone
+        assert seen == {"unit", "scaled", "cancel", "empty"}
+
+
 class TestEngineBlock:
     """rank_sparse on the rows compute_block hands it for the H rank-3
     tensor degree-5 HW block at (3, 1, 1): 545 distinct rows over 126
@@ -262,3 +300,7 @@ class TestEngineBlock:
         monkeypatch.setattr(exactla, "_primitive", lambda row: lengths.append(len(row)) or real(row))
         assert rank_sparse(rows) == 126
         assert (len(lengths), sum(lengths)) == (93, 9173)
+
+    def test_the_path_is_the_keyed_scans(self, rows, monkeypatch):
+        rank, path, _ = keyed_pivot_path(rows)
+        assert pivot_path(rows, monkeypatch) == (rank, path)
