@@ -94,8 +94,9 @@ def _int_at_least(low: int):
 def _add_common(parser) -> None:
     parser.add_argument("--cache-dir", default=None, help="directory for cached block results")
     parser.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="worker processes for the HW and check blocks; one pool "
-                        "serves the whole command")
+                        help="worker processes for the HW and check blocks; at most one "
+                        "pool per command, started as the docstring of "
+                        "hopfquotients.decompose._pool_misses says")
 
 
 def build_parser() -> argparse.ArgumentParser:

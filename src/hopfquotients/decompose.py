@@ -32,12 +32,10 @@ sum_kappa mult_kappa * K_{kappa,mu}.
 The number of variables is the row bound: rank many for sym, the
 degree for tensor; no partition with more rows can appear.
 
-With jobs > 1 the blocks missing from the memory cache, after the disk
-records are read, go to one map on a pool of jobs workers, largest
-first, one block at a time: Graham's LPT rule.  tables.verify_against
-makes one such map over the blocks cell_blocks lists for all its cells,
-so no cell waits for the one before it, and then decomposes each cell
-from the memory cache.
+When a pool computes blocks, and how, is written once, in the
+_pool_misses docstring.  tables.verify_against hands it the blocks
+cell_blocks lists for all its cells, so that no cell waits for the one
+before it, and then decomposes each cell.
 """
 
 from __future__ import annotations
@@ -109,16 +107,23 @@ def _block_job(args):
 
 
 def _pool_misses(blocks, jobs, cache_dir) -> None:
-    """Put the (spec, weight) blocks that neither cache holds in the
-    memory cache, when jobs > 1 and two or more are missing: one map on
-    a pool that opens and closes inside this call computes them, largest
-    first and one at a time, so that no worker is left with a large
-    block at the end.  The pool has jobs workers, or one per missing
-    block when there are fewer.  Disk records are read here, so
-    a warm cache_dir starts no pool.  Otherwise block_result computes
-    the misses in this process when they are read."""
+    """The one rule for when a run starts a pool.  With jobs < 2 it
+    returns at once, looking nothing up, and block_result computes each
+    block in this process when a cell reads it.  Otherwise it lists the
+    (spec, weight) blocks that neither the memory cache nor a disk
+    record in cache_dir holds, and pools them only when two or more are
+    HW blocks; the check blocks among them go with them.  The pool has
+    jobs workers, or one per missing block when there are fewer, and
+    opens and closes inside this call around one map, largest block
+    first and one at a time (Graham's LPT rule), so that no worker is
+    left with a large block at the end.  Its results join the memory
+    cache.  A warm cache_dir starts no pool, and neither does decompose
+    on a cell with one HW block, such as a degree-1 tensor cell, whose
+    two check blocks make three misses."""
+    if jobs < 2:
+        return
     misses = [b for b in blocks if cached_result(*b, cache_dir) is None]
-    if jobs > 1 and len(misses) > 1:
+    if sum(spec.highest_weight for spec, _ in misses) > 1:
         misses.sort(key=lambda b: block_cols(*b), reverse=True)
         with multiprocessing.Pool(min(jobs, len(misses))) as pool:
             computed = pool.map(_block_job, [(*b, cache_dir) for b in misses], chunksize=1)
@@ -179,14 +184,12 @@ def decompose(
 
     The hopf algebra inside spec only contributes its kind, and its
     generators must be even; the number of variables is replaced by the
-    row bound.
+    row bound.  jobs goes to _pool_misses with the cell's blocks.
     """
     wspec, hw, checks = cell_blocks(spec, degree)
     m = wspec.hopf.num_vars
     blocks = [*hw.values(), *checks]
-    # with one HW block there is nothing to share out, and a pool costs
-    # more than the cell
-    _pool_misses(blocks, jobs if len(hw) > 1 else 1, cache_dir)
+    _pool_misses(blocks, jobs, cache_dir)
     dims = {b: block_result(*b, cache_dir=cache_dir).quotient_dim for b in blocks}
     entries = {lam: dims[block] for lam, block in hw.items() if dims[block]}
     weight_dims = {lam: _predicted((wspec, pad_weight(lam, m)), entries) for lam in hw}

@@ -118,26 +118,22 @@ def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
                    jobs=1, cache_dir=None) -> dict:
     """Recompute every in-scope entry and diff against the table.
 
-    With jobs > 1 the HW and check blocks of all the cells go to one map
-    on a pool of jobs workers, largest first, so that no cell waits at a
-    barrier for the one before it; each cell is then decomposed from the
-    memory cache.  With jobs = 1 the cells are computed one after
-    another.  Either way the first cell that raises ends the run."""
+    The blocks of all the cells go to decompose._pool_misses at once,
+    whose docstring says when they are computed on a pool; each cell is
+    then decomposed in turn, and the first cell that raises ends the
+    run."""
     cells = [(FunctorSpec(entry["functor"], entry["rank"], HopfAlgebra(entry["hopf"], 1)), entry)
              for entry in entries_in_scope(table, functor, rank, hopf, max_degree)]
-    if jobs > 1:
-        blocks = []
-        for spec, entry in cells:
-            _, hw, checks = cell_blocks(spec, entry["degree"])
-            blocks += [*hw.values(), *checks]
-        _pool_misses(blocks, jobs, cache_dir)
-    matches = []
+    # a generator, so that a serial run lists no block here
+    listed = (cell_blocks(spec, entry["degree"]) for spec, entry in cells)
+    _pool_misses((b for _, hw, checks in listed for b in (*hw.values(), *checks)), jobs, cache_dir)
+    matches = 0
     mismatches = []
     new = []
     flagged = []
     for spec, entry in cells:
         key = {k: entry[k] for k in _CELL_FIELDS}
-        dec = decompose(spec, entry["degree"], jobs=jobs, cache_dir=cache_dir)
+        dec = decompose(spec, entry["degree"], cache_dir=cache_dir)
         computed = sorted(dec.entries.items(), reverse=True)
         if entry["value"] == UNKNOWN:
             new.append({**key, "computed": _pairs_payload(computed)})
@@ -145,12 +141,11 @@ def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
         expected = decomposition_to_pairs(entry["value"])
         flagged_parts = {tuple(f["partition"]): f.get("note", "")
                          for f in entry.get("flags", [])}
-        computed_map = dict(computed)
         expected_map = dict(expected)
         diff = []
-        for lam in sorted(set(computed_map) | set(expected_map), reverse=True):
+        for lam in sorted(set(dec.entries) | set(expected_map), reverse=True):
             want = expected_map.get(lam, 0)
-            got = computed_map.get(lam, 0)
+            got = dec.entries.get(lam, 0)
             if lam in flagged_parts:
                 flagged.append({**key, "partition": list(lam), "computed": got,
                                 "note": flagged_parts[lam]})
@@ -163,11 +158,11 @@ def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
                                "computed": _pairs_payload(computed),
                                "diff": diff})
         else:
-            matches.append(key)
+            matches += 1
     return {
         "engine_version": engine_version(),
-        "checked": len(matches) + len(mismatches),
-        "matches": len(matches),
+        "checked": matches + len(mismatches),
+        "matches": matches,
         "mismatches": mismatches,
         "new": new,
         "flagged": flagged,

@@ -11,6 +11,7 @@ from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients.decompose import (
     InconsistentBlockTableError,
     VIOLATION,
+    cell_blocks,
     decompose,
     default_num_vars,
     pad_weight,
@@ -211,6 +212,26 @@ class TestDecompositionShape:
         assert decompose(s, 3, jobs=64).entries == serial.entries
         # three HW blocks and two check blocks, so five workers, not 64
         assert sizes == maps == [5]
+
+    def test_no_pool_for_one_missing_hw_block(self, monkeypatch):
+        s = spec(H_FUNCTOR, 2, TENSOR)
+        serial = decompose(s, 4)
+        _, hw, checks = cell_blocks(s, 4)
+        assert len(hw) > 1
+        # one HW block and the check blocks go missing: three blocks, but
+        # a single HW block leaves nothing to share out
+        missing = [next(iter(hw.values())), *checks]
+        for block in missing:
+            del presentations._MEM_CACHE[presentations._cache_token(*block)]
+
+        def no_pool(*a, **k):
+            raise AssertionError("one HW block is missing; no pool needed")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        again = decompose(s, 4, jobs=2)
+        assert again.entries == serial.entries
+        assert again.weight_dims == serial.weight_dims
+        assert all(presentations.cached_result(*block) is not None for block in missing)
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):

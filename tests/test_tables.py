@@ -152,7 +152,29 @@ class TestVerifyAgainst:
 
 class TestOnePool:
     """verify_against computes the blocks of all its cells on one pool
-    map and leaves no worker behind, also when a worker's block raises."""
+    map and leaves no worker behind, also when a worker's block raises;
+    a serial run looks each block up once."""
+
+    def test_a_serial_run_reads_each_record_once(self, table, tmp_path, monkeypatch):
+        reads = []
+        computed = []
+        read_record = presentations._read_record
+        compute_block = presentations.compute_block
+
+        def counted_read(path, spec, weight):
+            reads.append((spec, weight))
+            return read_record(path, spec, weight)
+
+        def counted_compute(spec, weight):
+            computed.append((spec, weight))
+            return compute_block(spec, weight)
+
+        monkeypatch.setattr(presentations, "_read_record", counted_read)
+        monkeypatch.setattr(presentations, "compute_block", counted_compute)
+        verify_against(table, hopf="sym", max_degree=7, cache_dir=str(tmp_path))
+        # a cold disk cache: every block is read once, found missing and computed
+        assert reads == computed
+        assert len(computed) == len(set(computed)) == 134
 
     def test_one_pool_per_verify_run(self, clean_cache, table, monkeypatch):
         serial = verify_against(table, rank=2, hopf="tensor", max_degree=5)
