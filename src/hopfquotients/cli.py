@@ -9,7 +9,8 @@ Three subcommands, all emitting canonical JSON on stdout:
 Exit codes: 0 success; 1 verification mismatch, bound violation, or
 a cell whose check blocks disagree with the multiplicities of its
 highest-weight blocks; 2 bad usage (--jobs below 1 and a negative
---max-degree included), unreadable input or an unusable --cache-dir.
+--degree or --max-degree included), unreadable input or an unusable
+--cache-dir.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--functor", required=True, choices=["H", "Omega"])
     compute.add_argument("--rank", required=True, type=int, choices=[1, 2, 3])
     compute.add_argument("--hopf", required=True, choices=["sym", "tensor"])
-    compute.add_argument("--degree", required=True, type=int)
+    compute.add_argument("--degree", required=True, type=_int_at_least(0))
     _add_common(compute)
     compute.set_defaults(fn=cmd_compute)
 
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="compare multiplicities with the closed formulas")
     bounds.add_argument("--functor", required=True, choices=["H", "Omega"])
     bounds.add_argument("--rank", required=True, type=int, choices=[2, 3])
-    bounds.add_argument("--degree", required=True, type=int)
+    bounds.add_argument("--degree", required=True, type=_int_at_least(0))
     _add_common(bounds)
     bounds.set_defaults(fn=cmd_bounds)
 

@@ -1,9 +1,10 @@
 """Exact rank computations for sparse integer matrices.
 
-Rows live in dicts column -> integer coefficient.  rank_distinct is the
-engine's entry point: it normalizes the rows (content divided out,
-leading coefficient positive), drops repeats of a line before any
-elimination, and hands the rest to rank_sparse.
+Rows live in dicts column -> integer coefficient, with no zero entries.
+rank_distinct is the engine's entry point: it normalizes the rows
+(content divided out, coefficient at the lowest column positive) in
+one gcd and at most one copy per row, drops repeats of a line before
+any elimination, and hands the rest to rank_sparse.
 
 rank_sparse eliminates the columns, since rank(A) = rank(A^T).  The
 engine's blocks are tall: a block has several times as many distinct
@@ -25,17 +26,21 @@ always eliminates the same way.
 Each line is held once, in one dict keyed by column index; a pivot line
 leaves it when it retires, and so does a line that empties.  The rule
 needs only how many live lines hold each position, so a position keeps
-that count and no list of its lines.  A step takes the least count with
-one min over the counts and the lowest position holding it with one
-more pass over them, then finds the lines at that position by one scan
-over the live lines, which stops at the first when the position lies
-on one line.  Each update is one pass over the pivot line, which keeps
-the counts in step: an entry the updated line lacked is fill-in and
-adds one to its position, and an entry that cancels takes one off.  So
-on n lines over P positions there are at most n steps, each costing
-two passes over at most P counts, a scan of at most n lines and, for
-each line it updates, the length of the pivot line.  With the columns
-as lines, n is the short side.
+that count and no list of its lines.  A step chooses its position by
+one pass over the counts, a min by count that keeps the first position
+of least count.  That first one is the lowest index because the counts
+stay in ascending position order: they are built in row order, and
+afterwards a position only changes its count or leaves, never enters
+again (fill-in lands on live positions only, see the update below).
+The step then finds the lines at that position by one scan over the
+live lines, which stops at the first when the position lies on one
+line.  Each update is one pass over the pivot line, which keeps the
+counts in step: an entry the updated line lacked is fill-in and adds
+one to its position, and an entry that cancels takes one off.  So on
+n lines over P positions there are at most n steps, each costing one
+pass over at most P counts, a scan of at most n lines and, for each
+line it updates, the length of the pivot line.  With the columns as
+lines, n is the short side.
 
 Dividing a line by its content changes no entry's support, and nor
 does negating it, so neither changes a pivot.  When p divides v, that
@@ -49,6 +54,7 @@ the elimination takes the same pivots and writes the same entries.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
 
 def _primitive(row: dict) -> dict:
@@ -57,25 +63,22 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _normalize_row(row: dict) -> dict:
-    """Drop zero entries, divide out the content, make the leading
-    (lowest column) coefficient positive."""
-    row = {c: v for c, v in row.items() if v}
-    if row and row[min(row)] < 0:
-        row = {c: -v for c, v in row.items()}
-    return _primitive(row)
-
-
 def rank_distinct(rows) -> int:
-    """Rank of the span of integer rows: each row is normalized, only the
-    first row on each line is kept, and the kept rows go to rank_sparse
-    in their original order."""
+    """Rank of the span of integer rows, which hold no zero entries (as
+    for rank_sparse); empty rows are skipped.  Each row is divided by
+    its content, negated if its coefficient at the lowest column is
+    negative, and kept itself when that changes nothing, else copied
+    once.  Only the first row on each line is kept, and the kept rows go
+    to rank_sparse in their original order."""
     distinct = []
     seen = set()
     for row in rows:
-        norm = _normalize_row(row)
-        if not norm:
+        if not row:
             continue
+        g = gcd(*row.values())
+        if row[min(row)] < 0:
+            g = -g
+        norm = row if g == 1 else {c: v // g for c, v in row.items()}
         key = tuple(sorted(norm.items()))
         if key not in seen:
             seen.add(key)
@@ -106,8 +109,9 @@ def rank_sparse(rows) -> int:
     count = {i: len(row) for i, row in enumerate(rows) if row}
     rank = 0
     while count:
-        least = min(count.values())
-        p = min([q for q, n in count.items() if n == least])
+        # the first least count, so the lowest such position (module
+        # docstring)
+        p, least = min(count.items(), key=itemgetter(1))
         if least == 1:
             pivot = next(c for c, line in lines.items() if p in line)
             members = ()

@@ -438,7 +438,8 @@ def _cache_path(cache_dir, token: str):
 def compute_block(spec: FunctorSpec, weight) -> BlockResult:
     basis, rows = relation_rows(spec, weight)
     # hand the rows over one at a time, in order, so that each row is
-    # freed as soon as rank_distinct has normalized it
+    # freed as soon as rank_distinct has normalized it, unless it is
+    # kept as its own normal form
     rows.reverse()
     rank = rank_distinct(rows.pop() for _ in range(len(rows)))
     return BlockResult(len(basis), rank)

@@ -8,9 +8,9 @@ degree-one GL_2(Z) cohomology.  rank_dense is a textbook elimination
 over Fraction that the sparse integer rank must agree with, and
 keyed_pivot_path the Markowitz column elimination of rank_sparse
 written as the keyed scan it replaced, whose path of updated lines
-rank_sparse must follow.  mf_dim,
-dominates and weight_to_partition are the remaining combinatorial
-helpers.
+rank_sparse must follow.  normalized_row is the normal form of a row
+that rank_distinct hands on.  mf_dim, dominates and
+weight_to_partition are the remaining combinatorial helpers.
 """
 
 from fractions import Fraction
@@ -111,6 +111,18 @@ def gl2_h1_dim(g: int, twist: str) -> int:
 
 
 # --- dense reference rank ---------------------------------------------
+
+def normalized_row(row: dict) -> dict:
+    """A nonzero integer row divided by its content and signed so that its
+    coefficient at the lowest column is positive, in column order."""
+    cols = sorted(row)
+    g = 0
+    for c in cols:
+        g = gcd(g, row[c])
+    if row[cols[0]] < 0:
+        g = -g
+    return {c: row[c] // g for c in cols}
+
 
 def rank_dense(rows, ncols: int) -> int:
     """Reference rank over Fraction, row reduction with no cleverness."""

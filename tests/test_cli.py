@@ -300,6 +300,16 @@ class TestUsageErrors:
         assert res.stdout == ""
         assert "--max-degree" in res.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("compute", "--functor", "H", "--rank", "2", "--hopf", "sym"),
+        ("bounds", "--functor", "H", "--rank", "2"),
+    ], ids=["compute", "bounds"])
+    def test_degree_below_zero(self, command):
+        res = run(*command, "--degree", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--degree" in res.stderr
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, jobs):
         res = run("compute", "--functor", "H", "--rank", "2", "--hopf", "sym",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfquotients import exactla
 from hopfquotients.decompose import cell_blocks
-from hopfquotients.exactla import _normalize_row, rank_distinct, rank_sparse
+from hopfquotients.exactla import rank_distinct, rank_sparse
 from hopfquotients.hopf import TENSOR, HopfAlgebra
 from hopfquotients.presentations import H_FUNCTOR, FunctorSpec, compute_block
 from reference_dims import keyed_pivot_path, rank_dense
@@ -27,16 +27,6 @@ def random_rows(rng, nrows, ncols, density=0.4, lo=-5, hi=5):
     return rows
 
 
-class TestNormalizeRow:
-    def test_content_and_sign(self):
-        assert _normalize_row({3: -6, 7: 9}) == {3: 2, 7: -3}
-        assert _normalize_row({0: -4, 1: -8}) == {0: 1, 1: 2}
-
-    def test_zero_row(self):
-        assert _normalize_row({}) == {}
-        assert _normalize_row({5: 0}) == {}
-
-
 class TestRankDistinct:
     """rank_distinct, the normalize-and-dedup step in front of rank_sparse."""
 
@@ -47,15 +37,28 @@ class TestRankDistinct:
             {0: 1, 1: -1},   # same line as the first after normalization
             {0: -3, 1: 3},   # still the same line
             {},
-            {2: 0},
             {1: -1},         # same line as the second
+            {3: -6, 7: 9},   # content 3, negative lead
+            {0: -4, 1: -8},  # content 4, negative lead
+            {3: 4, 1: -2},   # the lowest column, 1, is not the first key
         ]
-        assert rank_distinct(iter(rows)) == 2
+        assert rank_distinct(iter(rows)) == 4
         handed = []
         monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
         rank_distinct(rows)
         # first occurrence of each line, normalized, in input order
-        assert handed == [[{0: 1, 1: -1}, {1: 1}]]
+        assert handed == [[{0: 1, 1: -1}, {1: 1}, {3: 2, 7: -3}, {0: 1, 1: 2}, {1: 1, 3: -2}]]
+
+    def test_normal_rows_are_not_copied(self, monkeypatch):
+        # a row that is primitive with a positive coefficient at its
+        # lowest column goes on as the caller's own dict
+        rows = [{0: 1, 2: -3}, {1: -2, 4: 6}, {5: 7, 2: 1}, {3: -1}]
+        handed = []
+        monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
+        rank_distinct(rows)
+        (kept,) = handed
+        assert [k is r for k, r in zip(kept, rows)] == [True, False, True, False]
+        assert kept[1] == {1: 1, 4: -3} and kept[3] == {3: 1}
 
 
 class TestRankKnown:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from reference_dims import gl2_h1_dim, h1_dim, mf_dim, quotient_dim
+from reference_dims import gl2_h1_dim, h1_dim, mf_dim, normalized_row, quotient_dim
 from reference_ops import (
     apply_expr as reference_apply_expr,
     bar_rows,
@@ -173,7 +173,7 @@ class TestBlockResult:
         compute_block(s, (2, 1, 1))
         expected = []
         for row in relation_rows(s, (2, 1, 1))[1]:
-            norm = exactla._normalize_row(row)
+            norm = normalized_row(row)
             if norm not in expected:
                 expected.append(norm)
         assert handed == [expected]
