@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--against", default=None, help="path to an expected-table JSON file")
     verify.add_argument("--max-degree", type=_int_at_least(0), default=None)
     verify.add_argument("--functor", choices=["H", "Omega"], default=None)
-    verify.add_argument("--rank", type=int, choices=[2, 3], default=None)
+    verify.add_argument("--rank", type=int, choices=[1, 2, 3], default=None)
     verify.add_argument("--hopf", choices=["sym", "tensor"], default=None)
     _add_common(verify)
     verify.set_defaults(fn=cmd_verify)

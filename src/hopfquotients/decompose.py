@@ -32,10 +32,12 @@ sum_kappa mult_kappa * K_{kappa,mu}.
 The number of variables is the row bound: rank many for sym, the
 degree for tensor; no partition with more rows can appear.
 
-When a pool computes blocks, and how, is written once, in the
-_pool_misses docstring.  tables.verify_against hands it the blocks
-cell_blocks lists for all its cells, so that no cell waits for the one
-before it, and then decomposes each cell.
+How a run computes its blocks, grouped by space and on a pool or in
+this process, is written once, in the _pool_misses docstring.
+tables.verify_against hands it the blocks cell_blocks lists for all
+its cells, so that no cell waits for the one before it and the H and
+the Omega block of one space share their rows' generation, and then
+decomposes each cell.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ from .hopf import SYM
 from .presentations import (
     FunctorSpec,
     block_cols,
+    block_group,
     block_result,
+    block_space,
     cached_result,
     remember_block,
 )
@@ -101,35 +105,50 @@ class Decomposition:
         return sum(mult * weyl_dim(lam, m) for lam, mult in self.entries.items())
 
 
-def _block_job(args):
-    spec, weight, cache_dir = args
-    return block_result(spec, weight, cache_dir=cache_dir)
+def _group_job(args):
+    group, cache_dir = args
+    with block_group(group):
+        return [block_result(*block, cache_dir=cache_dir) for block in group]
 
 
 def _pool_misses(blocks, jobs, cache_dir) -> None:
-    """The one rule for when a run starts a pool.  With jobs < 2 it
-    returns at once, looking nothing up, and block_result computes each
-    block in this process when a cell reads it.  Otherwise it lists the
-    (spec, weight) blocks that neither the memory cache nor a disk
-    record in cache_dir holds, and pools them only when two or more are
-    HW blocks; the check blocks among them go with them.  The pool has
-    jobs workers, or one per missing block when there are fewer, and
-    opens and closes inside this call around one map, largest block
-    first and one at a time (Graham's LPT rule), so that no worker is
-    left with a large block at the end.  Its results join the memory
-    cache.  A warm cache_dir starts no pool, and neither does decompose
-    on a cell with one HW block, such as a degree-1 tensor cell, whose
-    two check blocks make three misses."""
-    if jobs < 2:
-        return
-    misses = [b for b in blocks if cached_result(*b, cache_dir) is None]
-    if sum(spec.highest_weight for spec, _ in misses) > 1:
-        misses.sort(key=lambda b: block_cols(*b), reverse=True)
-        with multiprocessing.Pool(min(jobs, len(misses))) as pool:
-            computed = pool.map(_block_job, [(*b, cache_dir) for b in misses], chunksize=1)
+    """The one rule for when and how a run computes its blocks, for every
+    jobs.  It groups the (spec, weight) blocks by space
+    (presentations.block_space), so that the H and the Omega block at
+    one partition are one group, and keeps in each group the blocks that
+    neither the memory cache nor a disk record in cache_dir holds,
+    reading each record once; a hit joins the memory cache.  The missing
+    blocks of a group share one basis and one walk of their relations'
+    words (presentations.block_group), and each still gets its own rows
+    and its own rank.  With jobs >= 2 and two or more groups holding an
+    HW block, a pool maps the groups: it has jobs workers, or one per
+    group when there are fewer, and opens and closes inside this call
+    around one map, largest group first (by its blocks' columns) and one
+    at a time (Graham's LPT rule), so that no worker is left with a
+    large group at the end.  Otherwise each group is computed here, in
+    turn.  Either way every result is in the memory cache before this
+    returns, so the cells that follow only read it.  A warm cache_dir
+    computes nothing and starts no pool, and neither does decompose on a
+    cell with one HW block, such as a degree-1 tensor cell, whose two
+    check blocks make three groups."""
+    groups: dict = {}
+    for block in blocks:
+        groups.setdefault(block_space(*block), []).append(block)
+    missing = [[block for block in group if cached_result(*block, cache_dir) is None]
+               for group in groups.values()]
+    missing = [group for group in missing if group]
+    if jobs > 1 and sum(group[0][0].highest_weight for group in missing) > 1:
+        missing.sort(key=lambda group: sum(block_cols(*block) for block in group), reverse=True)
+        with multiprocessing.Pool(min(jobs, len(missing))) as pool:
+            computed = pool.map(_group_job, [(group, cache_dir) for group in missing],
+                                chunksize=1)
         # a worker's memory cache is not the parent's; keep its results here
-        for block, result in zip(misses, computed):
-            remember_block(*block, result)
+        for group, results in zip(missing, computed):
+            for block, result in zip(group, results):
+                remember_block(*block, result)
+    else:
+        for group in missing:
+            _group_job((group, cache_dir))
 
 
 def _predicted(block, entries) -> int:

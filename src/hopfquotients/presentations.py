@@ -71,6 +71,18 @@ weight block are its basis tuples themselves.  An HW block so
 costs its columns, not its support, a word prefix the relations share
 is applied once per tuple that reaches it, however many columns do,
 and no image term outside the kept columns is built.
+
+A block's basis, columns and vectors depend on its space (block_space):
+all of the block but its functor.  So the blocks of one space that a
+run is missing, the H and the Omega block at one partition in a
+verify, share one basis and one walk over the adjoints of all their
+relations, each distinct relation once, inside block_group; each block
+then takes, vector by vector, the rows of its own relations in its own
+order, exactly the rows a walk for it alone gives, and is eliminated
+on its own.  The rows that wait for their block sit in _GROUP_ROWS,
+module state as the memory cache is, because block_result and
+relation_rows keep their (spec, weight) calls; block_group empties it
+on exit.  decompose._pool_misses forms the groups.
 """
 
 from __future__ import annotations
@@ -80,8 +92,10 @@ import os
 import hashlib
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, permutations
+from contextlib import contextmanager
+from itertools import combinations_with_replacement, groupby, permutations
 from math import comb
+from operator import itemgetter
 
 from .combinatorics import kostka, weyl_dim
 from .exactla import rank_distinct
@@ -239,6 +253,14 @@ def block_relations(spec: FunctorSpec, weight) -> tuple:
     return RELATIONS.get(key + (parity,)) or RELATIONS[key + ("none",)]
 
 
+def block_space(spec: FunctorSpec, weight) -> tuple:
+    """The space of a block: what its basis and columns depend on, which
+    is all of the block but its functor (the algebra, with its odd flag
+    and number of variables, the rank, highest_weight and the weight).
+    The H and the Omega block at one weight share their space."""
+    return spec.hopf, spec.rank, spec.highest_weight, tuple(weight)
+
+
 def relation_rows(spec: FunctorSpec, weight):
     """Materialize the relation rows for one block.
 
@@ -260,7 +282,34 @@ def relation_rows(spec: FunctorSpec, weight):
     one tree, once for all the columns, and adds each tuple t a word
     reaches into the rows of that word's relation of the vectors whose
     support holds t.
+
+    Inside block_group, the first block of the group to get here makes
+    that call for the whole group (_space_rows) and leaves the other
+    blocks' rows in _GROUP_ROWS, where their own calls find them.
     """
+    token = _cache_token(spec, weight)
+    held = _GROUP_ROWS.pop(token, None)
+    if held is not None:
+        return held
+    blocks = [(spec, weight)]
+    if token in _GROUP:
+        blocks += [block for other, block in _GROUP.items() if other != token]
+    own, *others = _space_rows(blocks)
+    for block, rows in zip(blocks[1:], others):
+        _GROUP_ROWS[_cache_token(*block)] = rows
+    return own
+
+
+def _space_rows(blocks) -> list:
+    """relation_rows for each of blocks, blocks of one space, from one
+    basis and one apply_expr call over their relations, each distinct
+    relation once.  Each block takes, vector by vector, the rows of its
+    own relations in its own order, so its rows are the ones a call for
+    it alone gives; two blocks may share a row's dict, which nothing
+    modifies."""
+    if len({block_space(*block) for block in blocks}) > 1:
+        raise ValueError("blocks of different spaces share no rows")
+    spec, weight = blocks[0]
     H = spec.hopf
     weight = tuple(weight)
     if spec.highest_weight:
@@ -269,16 +318,25 @@ def relation_rows(spec: FunctorSpec, weight):
         # odd generators have the same basis: share the even block's cache entry
         basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
         support = {t: ((i, 1),) for i, t in enumerate(basis)}
-    exprs = tuple(adjoint(expr) for expr in block_relations(spec, weight))
-    sums = apply_expr(H, exprs, basis, support)
-    rows = []
-    # the keys (i, r) sort vector by vector, relation by relation
-    for key in sorted(sums):
-        row = sums.pop(key)
-        row = {col: row[col] for col in sorted(row) if row[col]}
-        if row:
-            rows.append(row)
-    return basis, rows
+    # each distinct relation -> its index in the walk
+    walked: dict = {}
+    picks = []
+    for bspec, _ in blocks:
+        picks.append([walked.setdefault(rel, len(walked))
+                      for rel in block_relations(bspec, weight)])
+    sums = apply_expr(H, tuple(adjoint(rel) for rel in walked), basis, support)
+    rows: list = [[] for _ in blocks]
+    # the keys (i, r) sort vector by vector
+    for _, keys in groupby(sorted(sums), key=itemgetter(0)):
+        kept = {}
+        for key in keys:
+            row = sums.pop(key)
+            row = {col: row[col] for col in sorted(row) if row[col]}
+            if row:
+                kept[key[1]] = row
+        for out, pick in zip(rows, picks):
+            out.extend(kept[r] for r in pick if r in kept)
+    return [(basis, out) for out in rows]
 
 
 def semistandard_tableaux(shape, n: int) -> list:
@@ -366,16 +424,26 @@ def _highest_weight_basis(H: HopfAlgebra, n: int, weight: tuple):
     mask = (1 << bits) - 1
     k = len(shape)
     offsets = [[(slots * k - 1 - s * k - j) * bits for j in range(k)] for s in range(slots)]
+    # the k exponents of slot s fill the field of k * bits bits at bit
+    # fields[s]; each field's word is decoded once per basis
+    fields = [(slots - 1 - s) * k * bits for s in range(slots)]
+    field_mask = (1 << (k * bits)) - 1
+    words_of: dict = {}
 
     def tuples(monomial):
         """The block tuples of a monomial, one per cut."""
-        words = tuple(
-            sum(((j,) * ((monomial >> at) & mask) for j, at in enumerate(row)), ())
-            for row in offsets
-        )
+        words = []
+        for at in fields:
+            field = (monomial >> at) & field_mask
+            word = words_of.get(field)
+            if word is None:
+                word = words_of[field] = sum(
+                    ((j,) * ((field >> (k - 1 - j) * bits) & mask) for j in range(k)), ())
+            words.append(word)
         if H.kind == SYM:
-            return (words,)
-        word = sum(words, ())
+            return (tuple(words),)
+        # each position holds one letter
+        word = tuple(letter for (letter,) in words)
         return tuple(tuple(word[a:b] for a, b in zip(cut, cut[1:])) for cut in cuts)
 
     minors: dict = {}
@@ -424,6 +492,11 @@ def block_cols(spec: FunctorSpec, weight) -> int:
 
 
 _MEM_CACHE: dict = {}
+
+# the blocks of the open block_group, by cache token, and the rows its
+# walk made for those of them that have not asked for them yet
+_GROUP: dict = {}
+_GROUP_ROWS: dict = {}
 
 
 def _cache_token(spec: FunctorSpec, weight) -> str:
@@ -488,14 +561,30 @@ def remember_block(spec: FunctorSpec, weight, result: BlockResult) -> None:
     _MEM_CACHE[_cache_token(spec, weight)] = result
 
 
+@contextmanager
+def block_group(blocks):
+    """A scope in which blocks, missing blocks of one space (block_space),
+    share their row generation: block_result computes each of them
+    without looking it up again, and the first of them to reach
+    relation_rows walks for all of them.  The rows that wait for their
+    block are dropped on exit, also when a block raises."""
+    _GROUP.update((_cache_token(*block), block) for block in blocks)
+    try:
+        yield
+    finally:
+        _GROUP.clear()
+        _GROUP_ROWS.clear()
+
+
 def block_result(spec: FunctorSpec, weight, cache_dir=None) -> BlockResult:
     """compute_block with an in-memory cache (last writer wins) and an
     optional on-disk cache keyed by content and engine version.  A disk
-    record that does not check out is a cache miss."""
-    hit = cached_result(spec, weight, cache_dir)
+    record that does not check out is a cache miss.  A block of the open
+    block_group is computed without a lookup: the group holds misses."""
+    token = _cache_token(spec, weight)
+    hit = None if token in _GROUP else cached_result(spec, weight, cache_dir)
     if hit is not None:
         return hit
-    token = _cache_token(spec, weight)
     fh = None
     if cache_dir:
         path = _cache_path(cache_dir, token)

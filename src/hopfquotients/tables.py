@@ -119,12 +119,14 @@ def verify_against(table, functor=None, rank=None, hopf=None, max_degree=None,
     """Recompute every in-scope entry and diff against the table.
 
     The blocks of all the cells go to decompose._pool_misses at once,
-    whose docstring says when they are computed on a pool; each cell is
-    then decomposed in turn, and the first cell that raises ends the
-    run."""
+    which computes the missing ones, the H and the Omega block of one
+    space together, before any cell reads them (see its docstring);
+    each cell is then decomposed in turn, and the first cell that
+    raises ends the run."""
     cells = [(FunctorSpec(entry["functor"], entry["rank"], HopfAlgebra(entry["hopf"], 1)), entry)
              for entry in entries_in_scope(table, functor, rank, hopf, max_degree)]
-    # a generator, so that a serial run lists no block here
+    # every cell's blocks, so that both functors' blocks of one space
+    # meet in one group
     listed = (cell_blocks(spec, entry["degree"]) for spec, entry in cells)
     _pool_misses((b for _, hw, checks in listed for b in (*hw.values(), *checks)), jobs, cache_dir)
     matches = 0

@@ -61,8 +61,8 @@ tree of all their words once for all the columns, so a prefix the sums
 share is applied once, and a tuple that many columns reach at a node
 goes through apply_atom once.  A word's image goes into the rows where
 the word ends; no image of a whole sum is ever built.  The engine
-applies the adjoints of a block's relations, all at once, to all of the
-block's columns (see presentations).
+applies the adjoints of the relations of a block, or of the blocks of
+one space, all at once, to all of their columns (see presentations).
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def adjoint(expr) -> tuple:
     )
 
 
-# one tree per tuple of sums: a block's relations, so a handful per run
+# one tree per tuple of sums: the relations of a block or of a group of
+# blocks, so a handful per run
 @lru_cache(maxsize=None)
 def _word_tree(exprs) -> tuple:
     """The words of a tuple of formal sums as one prefix tree, a node per

@@ -129,6 +129,22 @@ class TestVerify:
         report = json.loads(res.stdout)
         assert len(report["mismatches"]) == 1
 
+    def test_rank_one_scope(self, tmp_path):
+        from hopfquotients.tables import load_expected
+
+        entries = [e for e in load_expected()["entries"]
+                   if (e["functor"], e["rank"], e["hopf"], e["degree"]) == ("H", 2, "sym", 4)]
+        entries.append({"functor": "H", "rank": 1, "hopf": "sym", "degree": 3,
+                        "value": "unknown"})
+        path = tmp_path / "rank-one.json"
+        path.write_text(json.dumps({"entries": entries}))
+        res = run("verify", "--against", str(path), "--rank", "1")
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["checked"] == 0
+        assert [(cell["functor"], cell["rank"], cell["degree"]) for cell in report["new"]] == [
+            ("H", 1, 3)]
+
     def test_missing_table_file(self, tmp_path):
         res = run("verify", "--against", str(tmp_path / "nope.json"))
         assert res.returncode == 2

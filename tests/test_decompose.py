@@ -11,6 +11,7 @@ from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients.decompose import (
     InconsistentBlockTableError,
     VIOLATION,
+    _pool_misses,
     cell_blocks,
     decompose,
     default_num_vars,
@@ -173,11 +174,13 @@ class TestDecompositionShape:
         clean_cache()
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         pooled = decompose(s, 5, jobs=2)
-        sizes = [block_cols(bspec, weight) for bspec, weight, _ in handed]
+        # one functor, so each block is a group of its own
+        assert all(len(group) == 1 for group, _ in handed)
+        sizes = [block_cols(*group[0]) for group, _ in handed]
         assert len(sizes) > 2 and sizes == sorted(sizes, reverse=True)
-        # one block at a time, so no worker takes a run of the largest
+        # one group at a time, so no worker takes a run of the largest
         assert chunksizes and set(chunksizes) == {1}
-        assert any(bspec.hopf.odd for bspec, _, _ in handed)
+        assert any(bspec.hopf.odd for group, _ in handed for bspec, _ in group)
         assert pooled.entries == serial.entries
         assert pooled.weight_dims == serial.weight_dims
         # degree 1 has a single HW block: no pool
@@ -210,8 +213,18 @@ class TestDecompositionShape:
         clean_cache()
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         assert decompose(s, 3, jobs=64).entries == serial.entries
-        # three HW blocks and two check blocks, so five workers, not 64
+        # three HW blocks and two check blocks, so five groups of one and
+        # five workers, not 64
         assert sizes == maps == [5]
+        # with Omega's blocks too, each group holds both functors' blocks
+        # of one space: still five groups, so five workers
+        clean_cache()
+        blocks = [block for f in (H_FUNCTOR, OMEGA_FUNCTOR)
+                  for _, hw, checks in [cell_blocks(spec(f, 2, TENSOR), 3)]
+                  for block in (*hw.values(), *checks)]
+        _pool_misses(blocks, 64, None)
+        assert sizes == maps == [5, 5]
+        assert all(presentations.cached_result(*block) is not None for block in blocks)
 
     def test_no_pool_for_one_missing_hw_block(self, monkeypatch):
         s = spec(H_FUNCTOR, 2, TENSOR)
@@ -232,6 +245,14 @@ class TestDecompositionShape:
         assert again.entries == serial.entries
         assert again.weight_dims == serial.weight_dims
         assert all(presentations.cached_result(*block) is not None for block in missing)
+        # H's and Omega's HW blocks at one partition are two missing HW
+        # blocks, but one group: still nothing to share out
+        _, omega_hw, _ = cell_blocks(spec(OMEGA_FUNCTOR, 2, TENSOR), 4)
+        lam = next(iter(hw))
+        pair = [hw[lam], omega_hw[lam]]
+        presentations._MEM_CACHE.pop(presentations._cache_token(*hw[lam]))
+        _pool_misses(pair, 2, None)
+        assert all(presentations.cached_result(*block) is not None for block in pair)
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):

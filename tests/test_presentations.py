@@ -24,6 +24,7 @@ from reference_ops import (
     unprojected_hw_rows,
 )
 from hopfquotients.combinatorics import cusp_dim, partitions_of, weyl_dim
+from hopfquotients.decompose import cell_blocks
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients import cli, presentations, version
@@ -32,8 +33,10 @@ from hopfquotients.presentations import (
     OMEGA_FUNCTOR,
     FunctorSpec,
     block_cols,
+    block_group,
     block_relations,
     block_result,
+    block_space,
     compute_block,
     relation_rows,
     semistandard_tableaux,
@@ -730,6 +733,75 @@ class TestSharedWordTree:
         assert _coproduct_transpose.cache_info().currsize > 0
         relation_rows(s, (2, 1, 1))
         assert _coproduct_transpose.cache_info().currsize == 0
+
+
+def space_groups(hopf, scope):
+    """The blocks of the H and the Omega cells of hopf, rank r up to
+    degree top for each (r, top) in scope, grouped by space in listing
+    order, as decompose._pool_misses groups them."""
+    groups = {}
+    for functor in (H_FUNCTOR, OMEGA_FUNCTOR):
+        for rank, top in scope:
+            for degree in range(top + 1):
+                _, hw, checks = cell_blocks(FunctorSpec(functor, rank, HopfAlgebra(hopf, 1)),
+                                            degree)
+                for block in (*hw.values(), *checks):
+                    groups.setdefault(block_space(*block), []).append(block)
+    return list(groups.values())
+
+
+class TestBlockGroups:
+    """Inside block_group the blocks of one space share one basis and one
+    walk of their relations' words, and each still gets the rows a walk
+    for it alone gives; the rows that wait for their block never outlive
+    the group."""
+
+    # the benchmark's cells, and rank-3 tensor degree 5
+    @pytest.mark.parametrize("hopf, scope", [(TENSOR, ((2, 5), (3, 5))), (SYM, ((2, 7), (3, 7)))])
+    def test_group_rows_are_the_lone_rows(self, monkeypatch, hopf, scope):
+        walks = []
+        real = presentations.apply_expr
+        monkeypatch.setattr(presentations, "apply_expr",
+                            lambda *args: walks.append(args[1]) or real(*args))
+        groups = space_groups(hopf, scope)
+        for group in groups:
+            assert [spec.functor for spec, _ in group] == [H_FUNCTOR, OMEGA_FUNCTOR]
+            walks.clear()
+            with block_group(group):
+                grouped = [relation_rows(*block) for block in group]
+            # one walk, each distinct relation once
+            (walked,) = walks
+            assert len(set(walked)) == len(walked)
+            assert grouped == [relation_rows(*block) for block in group], group
+
+    def test_the_store_is_empty_after_a_group(self, monkeypatch):
+        group = next(group for group in space_groups(TENSOR, ((3, 3),))
+                     if group[0][1] == (2, 1, 0))
+        with block_group(group):
+            block_result(*group[0])
+            # the walk for the first block left the second one's rows
+            assert set(presentations._GROUP_ROWS) == {presentations._cache_token(*group[1])}
+            block_result(*group[1])
+            assert presentations._GROUP_ROWS == {}
+        assert presentations._GROUP == presentations._GROUP_ROWS == {}
+
+        presentations._MEM_CACHE.clear()
+
+        def fail(rows):
+            raise ArithmeticError("the first block's elimination fails")
+
+        monkeypatch.setattr(presentations, "rank_distinct", fail)
+        with pytest.raises(ArithmeticError):
+            with block_group(group):
+                block_result(*group[0])
+        assert presentations._GROUP == presentations._GROUP_ROWS == {}
+
+    def test_a_group_holds_one_space(self):
+        hw, check = space_groups(SYM, ((2, 3),))[-2:]
+        assert hw[0][0].highest_weight and not check[0][0].highest_weight
+        with pytest.raises(ValueError):
+            with block_group([hw[0], check[1]]):
+                relation_rows(*hw[0])
 
 
 class TestSignBlockRows:

@@ -7,7 +7,7 @@ import pytest
 
 from hopfquotients import presentations
 from hopfquotients.combinatorics import omega2_sym_multiplicity, rank2_multiplicity
-from hopfquotients.presentations import block_cols
+from hopfquotients.presentations import block_cols, block_space
 from hopfquotients.tables import (
     UNKNOWN,
     ZERO,
@@ -151,9 +151,9 @@ class TestVerifyAgainst:
 
 
 class TestOnePool:
-    """verify_against computes the blocks of all its cells on one pool
-    map and leaves no worker behind, also when a worker's block raises;
-    a serial run looks each block up once."""
+    """verify_against computes the blocks of all its cells, grouped by
+    space, on one pool map and leaves no worker behind, also when a
+    worker's block raises; a serial run looks each block up once."""
 
     def test_a_serial_run_reads_each_record_once(self, table, tmp_path, monkeypatch):
         reads = []
@@ -220,10 +220,16 @@ class TestOnePool:
         assert len(maps) == 1
         handed, chunksize = maps[0]
         assert chunksize == 1
-        assert len(handed) == len(used)
-        assert {presentations._cache_token(spec, weight) for spec, weight, _ in handed} == used
-        assert {spec.rank for spec, _, _ in handed} == {2, 3}
-        sizes = [block_cols(spec, weight) for spec, weight, _ in handed]
+        blocks = [block for group, _ in handed for block in group]
+        assert len(blocks) == len(used)
+        assert {presentations._cache_token(spec, weight) for spec, weight in blocks} == used
+        assert {spec.rank for spec, _ in blocks} == {2, 3}
+        # each group is the H and the Omega block of one space
+        assert len(handed) == len(used) // 2
+        for group, _ in handed:
+            assert sorted(spec.functor for spec, _ in group) == ["H", "Omega"]
+            assert len({block_space(*block) for block in group}) == 1
+        sizes = [sum(block_cols(*block) for block in group) for group, _ in handed]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_no_pool_when_every_block_is_cached(self, table, monkeypatch):
