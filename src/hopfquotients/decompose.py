@@ -99,9 +99,7 @@ class Decomposition:
     def multiplicity(self, lam) -> int:
         return self.entries.get(tuple(lam), 0)
 
-    def total_dim(self, m: int | None = None) -> int:
-        if m is None:
-            m = self.num_vars
+    def total_dim(self, m: int) -> int:
         return sum(mult * weyl_dim(lam, m) for lam, mult in self.entries.items())
 
 

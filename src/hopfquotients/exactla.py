@@ -112,6 +112,7 @@ def rank_sparse(rows) -> int:
         # the first least count, so the lowest such position (module
         # docstring)
         p, least = min(count.items(), key=itemgetter(1))
+        # fast path for one line at p; pays on frontier blocks (ROADMAP dead ends)
         if least == 1:
             pivot = next(c for c, line in lines.items() if p in line)
             members = ()

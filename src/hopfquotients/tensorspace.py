@@ -209,6 +209,7 @@ def _walk(H: HopfAlgebra, node: tuple, state: dict, support: dict, sums: dict) -
             for i, x in support.get(t, ()):
                 c = coeff * scale * x
                 row = sums.get((i, r))
+                # first write in one comprehension; pays on frontier blocks (ROADMAP dead ends)
                 if row is None:
                     sums[i, r] = {j: c * y for j, y in payload.items()}
                 else:
@@ -227,6 +228,7 @@ def _walk(H: HopfAlgebra, node: tuple, state: dict, support: dict, sums: dict) -
                 for t2, c in apply_atom(H, atom, t).items():
                     c *= scale
                     acc = nxt.get(t2)
+                    # first write in one comprehension; pays on frontier blocks (ROADMAP dead ends)
                     if acc is None:
                         nxt[t2] = (1, {j: c * x for j, x in payload.items()})
                     else:

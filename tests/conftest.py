@@ -1,3 +1,6 @@
+import multiprocessing
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
@@ -15,3 +18,64 @@ def clean_cache(monkeypatch):
     no block cached."""
     monkeypatch.setattr(presentations, "_MEM_CACHE", {})
     return presentations._MEM_CACHE.clear
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """multiprocessing.Pool replaced by a pool that starts no process
+    and runs each map in this one.  The namespace it returns records the
+    `processes` of each pool made and the (jobs, chunksize) of each map,
+    in call order."""
+    log = SimpleNamespace(processes=[], maps=[])
+
+    class SerialPool:
+        def __init__(self, processes):
+            log.processes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=None):
+            jobs = list(jobs)
+            log.maps.append((jobs, chunksize))
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return log
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """forbid(owner, name, message) replaces owner.name with a stub that
+    fails the test with message when called."""
+
+    def forbid(owner, name, message):
+        def stub(*args, **kwargs):
+            pytest.fail(message)
+
+        monkeypatch.setattr(owner, name, stub)
+
+    return forbid
+
+
+@pytest.fixture
+def record(monkeypatch):
+    """record(owner, name) replaces owner.name with a wrapper that passes
+    each call on to the real function, and returns the list to which it
+    appends each call's positional arguments, as a tuple."""
+
+    def record(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def recorder(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recorder)
+        return calls
+
+    return record

@@ -1,5 +1,6 @@
 import multiprocessing
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -114,7 +115,6 @@ class TestDecompositionShape:
 
     def test_total_dim_tracks_blocks(self):
         dec = decompose(spec(OMEGA_FUNCTOR, 2, SYM), 6)
-        assert dec.total_dim(dec.num_vars) == dec.total_dim()
         # one-variable total only sees one-row pieces
         assert dec.total_dim(1) == dec.multiplicity((6,))
 
@@ -127,9 +127,12 @@ class TestDecompositionShape:
             assert serial.entries == parallel.entries
             assert serial.weight_dims == parallel.weight_dims
 
-    def test_pool_results_reach_the_parent_cache(self, monkeypatch):
+    def test_pool_results_reach_the_parent_cache(self, forbid, record):
         s = spec(H_FUNCTOR, 2, TENSOR)
+        # the workers compute every block; the parent only keeps results
+        computed_here = record(presentations, "compute_block")
         first = decompose(s, 4, jobs=2)
+        assert computed_here == []
         hw = replace(first.spec, highest_weight=True)
         odd = replace(hw, hopf=replace(hw.hopf, odd=True))
         # (1, 1, 1, 1) and (2, 1, 1) come from the odd HW blocks at their
@@ -138,42 +141,19 @@ class TestDecompositionShape:
                       (odd, (4, 0, 0, 0)), (odd, (3, 1, 0, 0))]:
             assert presentations.cached_result(*block) is not None, block
 
-        def boom(*a, **k):
-            raise AssertionError("should have come from the memory cache")
-
-        def no_pool(*a, **k):
-            raise AssertionError("every block is cached; no pool needed")
-
-        monkeypatch.setattr(presentations, "compute_block", boom)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        forbid(presentations, "compute_block", "should have come from the memory cache")
+        forbid(multiprocessing, "Pool", "every block is cached; no pool needed")
         again = decompose(s, 4, jobs=2)
         assert again.entries == first.entries
         assert again.weight_dims == first.weight_dims
 
-    def test_pool_gets_the_largest_blocks_first(self, monkeypatch, clean_cache):
-        handed = []
-        chunksizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=None):
-                handed.extend(jobs)
-                chunksizes.append(chunksize)
-                return [fn(job) for job in jobs]
-
+    def test_pool_gets_the_largest_blocks_first(self, serial_pool, clean_cache):
         s = spec(OMEGA_FUNCTOR, 2, TENSOR)
         serial = decompose(s, 5)
         clean_cache()
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         pooled = decompose(s, 5, jobs=2)
+        handed = [job for jobs, _ in serial_pool.maps for job in jobs]
+        chunksizes = [chunksize for _, chunksize in serial_pool.maps]
         # one functor, so each block is a group of its own
         assert all(len(group) == 1 for group, _ in handed)
         sizes = [block_cols(*group[0]) for group, _ in handed]
@@ -184,38 +164,19 @@ class TestDecompositionShape:
         assert pooled.entries == serial.entries
         assert pooled.weight_dims == serial.weight_dims
         # degree 1 has a single HW block: no pool
-        handed.clear()
+        serial_pool.maps.clear()
         clean_cache()
         decompose(s, 1, jobs=2)
-        assert handed == []
+        assert serial_pool.maps == []
 
-    def test_no_more_workers_than_missing_blocks(self, monkeypatch, clean_cache):
-        sizes = []
-        maps = []
-
-        class RecordingPool:
-            # records its size and starts no process
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=None):
-                maps.append(len(jobs))
-                return [fn(job) for job in jobs]
-
+    def test_no_more_workers_than_missing_blocks(self, serial_pool, clean_cache):
         s = spec(H_FUNCTOR, 2, TENSOR)
         serial = decompose(s, 3)
         clean_cache()
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         assert decompose(s, 3, jobs=64).entries == serial.entries
         # three HW blocks and two check blocks, so five groups of one and
         # five workers, not 64
-        assert sizes == maps == [5]
+        assert serial_pool.processes == [len(jobs) for jobs, _ in serial_pool.maps] == [5]
         # with Omega's blocks too, each group holds both functors' blocks
         # of one space: still five groups, so five workers
         clean_cache()
@@ -223,10 +184,10 @@ class TestDecompositionShape:
                   for _, hw, checks in [cell_blocks(spec(f, 2, TENSOR), 3)]
                   for block in (*hw.values(), *checks)]
         _pool_misses(blocks, 64, None)
-        assert sizes == maps == [5, 5]
+        assert serial_pool.processes == [len(jobs) for jobs, _ in serial_pool.maps] == [5, 5]
         assert all(presentations.cached_result(*block) is not None for block in blocks)
 
-    def test_no_pool_for_one_missing_hw_block(self, monkeypatch):
+    def test_no_pool_for_one_missing_hw_block(self, forbid):
         s = spec(H_FUNCTOR, 2, TENSOR)
         serial = decompose(s, 4)
         _, hw, checks = cell_blocks(s, 4)
@@ -237,10 +198,7 @@ class TestDecompositionShape:
         for block in missing:
             del presentations._MEM_CACHE[presentations._cache_token(*block)]
 
-        def no_pool(*a, **k):
-            raise AssertionError("one HW block is missing; no pool needed")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        forbid(multiprocessing, "Pool", "one HW block is missing; no pool needed")
         again = decompose(s, 4, jobs=2)
         assert again.entries == serial.entries
         assert again.weight_dims == serial.weight_dims
@@ -355,7 +313,7 @@ class TestHighestWeightSolve:
             for lam, dim in dec.weight_dims.items():
                 assert dim == quotient_dim(dec.spec, pad_weight(lam, rank)), (degree, lam)
 
-    def test_jobs_give_the_serial_result_and_fill_the_parent_cache(self, monkeypatch, clean_cache):
+    def test_jobs_give_the_serial_result_and_fill_the_parent_cache(self, forbid, clean_cache):
         s = spec(OMEGA_FUNCTOR, 3, SYM)
         serial = decompose(s, 6)
         clean_cache()
@@ -367,11 +325,8 @@ class TestHighestWeightSolve:
             assert presentations.cached_result(hw, pad_weight(lam, 3)) is not None, lam
         assert presentations.cached_result(parallel.spec, (4, 1, 1)) is not None
 
-        def boom(*a, **k):
-            raise AssertionError("should have come from the memory cache")
-
-        monkeypatch.setattr(presentations, "compute_block", boom)
-        monkeypatch.setattr(multiprocessing, "Pool", boom)
+        forbid(presentations, "compute_block", "should have come from the memory cache")
+        forbid(multiprocessing, "Pool", "should have come from the memory cache")
         assert decompose(s, 6, jobs=2).entries == serial.entries
 
     def test_hw_spec_is_not_decomposed(self):
@@ -464,3 +419,12 @@ class TestBounds:
         dec = decompose(spec(H_FUNCTOR, 1, SYM), 3)
         with pytest.raises(ValueError):
             verify_bounds(dec)
+
+
+def test_readme_library_block():
+    # the fenced block under README's "## Library", run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["dec"].entries == {(6,): 1, (5, 1): 2, (4, 2): 1}

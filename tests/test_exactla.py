@@ -105,20 +105,12 @@ class TestSparseAgainstDense:
         rows = random_rows(rng, 6, 6, density=0.8, lo=-(10**25), hi=10**25)
         assert rank_sparse(rows) == rank_dense(rows, 6)
 
-    def test_shared_factors_are_divided_out(self, monkeypatch):
+    def test_shared_factors_are_divided_out(self, record):
         # each row is a small row times a product of large primes, so
         # the rows elimination produces have content above 1
         primes = (2**61 - 1, 2**31 - 1, 10**9 + 7)
-        contents = []
-
-        def primitive(row):
-            contents.append(gcd(*row.values()))
-            out = real(row)
-            assert gcd(*out.values()) == 1
-            return out
-
         real = exactla._primitive
-        monkeypatch.setattr(exactla, "_primitive", primitive)
+        calls = record(exactla, "_primitive")
         rng = random.Random(314)
         for _ in range(40):
             ncols = rng.randint(2, 8)
@@ -127,6 +119,8 @@ class TestSparseAgainstDense:
                 for row in random_rows(rng, rng.randint(2, 8), ncols, density=0.6)
             ]
             assert rank_sparse(rows) == rank_dense(rows, ncols), rows
+        assert all(gcd(*real(row).values()) == 1 for (row,) in calls)
+        contents = [gcd(*row.values()) for (row,) in calls]
         assert sum(g > 1 for g in contents) > len(contents) // 2
 
     @given(st.data())
@@ -170,7 +164,7 @@ class TestSparseAgainstDense:
 
 
 class TestShortSide:
-    def test_dependent_rows_are_not_eliminated(self, monkeypatch):
+    def test_dependent_rows_are_not_eliminated(self, record):
         # 200 combinations of 5 rows over 8 columns: eliminating the 8
         # columns takes at most 7 + 6 + 5 + 4 + 3 line updates, while
         # eliminating the rows would carry the 195 dependent ones through
@@ -182,9 +176,7 @@ class TestShortSide:
             k = [rng.randint(-3, 3) for _ in base]
             row = {c: sum(ki * b[c] for ki, b in zip(k, base)) for c in range(8)}
             rows.append({c: v for c, v in row.items() if v})
-        calls = []
-        real = exactla._primitive
-        monkeypatch.setattr(exactla, "_primitive", lambda row: calls.append(row) or real(row))
+        calls = record(exactla, "_primitive")
         assert rank_sparse(rows) == rank_dense(rows, 8) == 5
         assert 0 < len(calls) <= 8 * 5
 
@@ -195,15 +187,13 @@ class TestDeterminism:
         rows = random_rows(rng, 10, 10, density=0.5)
         assert rank_sparse(rows) == rank_sparse([dict(r) for r in rows])
 
-    def test_cheapest_live_column_first(self, monkeypatch):
+    def test_cheapest_live_column_first(self, record):
         # the lines eliminated are the columns {1: -1}, {0: 1, 2: -1} and
         # {0: 1, 1: 2}, whose positions are the row indices: position 2
         # lies on one line and 0 and 1 on two each.  The exact rule
         # pivots on 2, which leaves 0 on one line, then on 0 and last on
         # 1, and no step has anything to eliminate
-        calls = []
-        real = exactla._primitive
-        monkeypatch.setattr(exactla, "_primitive", lambda row: calls.append(row) or real(row))
+        calls = record(exactla, "_primitive")
         assert rank_sparse([{1: 1, 2: 1}, {0: -1, 2: 2}, {1: -1}]) == 3
         assert calls == []
 
@@ -218,20 +208,21 @@ class TestDeterminism:
         assert rows == before
 
 
-def pivot_path(rows, monkeypatch):
+def pivot_path(rows, calls):
     """rank_sparse's rank and the support of each line it hands
-    _primitive, sorted, in update order."""
-    path = []
-    real = exactla._primitive
-    monkeypatch.setattr(exactla, "_primitive", lambda row: path.append(sorted(row)) or real(row))
-    return rank_sparse(rows), path
+    _primitive, sorted, in update order; calls is the list that
+    record(exactla, "_primitive") returned."""
+    calls.clear()
+    rank = rank_sparse(rows)
+    return rank, [sorted(row) for (row,) in calls]
 
 
 class TestPivotPath:
-    def test_seeded_random_matrices(self, monkeypatch):
+    def test_seeded_random_matrices(self, record):
         # random rows, with repeats and combinations of rows appended, so
         # that positions share lines, entries cancel and lines empty
         rng = random.Random(1957)
+        primitive = record(exactla, "_primitive")
         seen = set()
         for _ in range(300):
             ncols = rng.randint(1, 9)
@@ -243,7 +234,7 @@ class TestPivotPath:
                 rows.append({c: v for c, v in combo.items() if v})
                 rows.append(dict(rng.choice(rows)))
             rank, path, cases = keyed_pivot_path(rows)
-            assert pivot_path(rows, monkeypatch) == (rank, path), rows
+            assert pivot_path(rows, primitive) == (rank, path), rows
             assert rank == rank_dense(rows, ncols)
             seen |= cases
         # multipliers of +-1 and above, cancellation away from the pivot's
@@ -294,16 +285,15 @@ class TestEngineBlock:
                 tracemalloc.stop()
         assert 0 < peak <= 2 * size
 
-    def test_the_work_is_pinned(self, rows, monkeypatch):
+    def test_the_work_is_pinned(self, rows, record):
         # every line update passes the updated line to _primitive, so
         # these count the updates and the entries they write; a change
         # of pivot rule shows here as a change of work
-        lengths = []
-        real = exactla._primitive
-        monkeypatch.setattr(exactla, "_primitive", lambda row: lengths.append(len(row)) or real(row))
+        calls = record(exactla, "_primitive")
         assert rank_sparse(rows) == 126
+        lengths = [len(row) for (row,) in calls]
         assert (len(lengths), sum(lengths)) == (93, 9173)
 
-    def test_the_path_is_the_keyed_scans(self, rows, monkeypatch):
+    def test_the_path_is_the_keyed_scans(self, rows, record):
         rank, path, _ = keyed_pivot_path(rows)
-        assert pivot_path(rows, monkeypatch) == (rank, path)
+        assert pivot_path(rows, record(exactla, "_primitive")) == (rank, path)

@@ -384,7 +384,7 @@ class TestCaching:
         clean_cache()
         assert block_result(s, weight, cache_dir=str(tmp_path)) == first
 
-    def test_disk_roundtrip(self, clean_cache, tmp_path, monkeypatch):
+    def test_disk_roundtrip(self, clean_cache, tmp_path, forbid):
         s = spec(H_FUNCTOR, 2, SYM, 2)
         first = block_result(s, (3, 1), cache_dir=str(tmp_path))
         files = os.listdir(tmp_path)
@@ -394,11 +394,7 @@ class TestCaching:
         assert record["block"] == "H|2|sym|2|3,1"
 
         clean_cache()
-
-        def boom(*a, **k):
-            raise AssertionError("should have come from disk")
-
-        monkeypatch.setattr(presentations, "compute_block", boom)
+        forbid(presentations, "compute_block", "should have come from disk")
         again = block_result(s, (3, 1), cache_dir=str(tmp_path))
         assert again == first
 
@@ -517,28 +513,22 @@ class TestCaching:
             block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
-    def test_unusable_cache_dir_fails_before_computing(self, tmp_path, monkeypatch):
+    def test_unusable_cache_dir_fails_before_computing(self, tmp_path, forbid):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
-
-        def boom(*a, **k):
-            raise AssertionError("computed before the cache_dir was checked")
-
-        monkeypatch.setattr(presentations, "compute_block", boom)
+        forbid(presentations, "compute_block", "computed before the cache_dir was checked")
         with pytest.raises(OSError):
             block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(not_a_dir))
 
-    def test_unwritable_cache_dir_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+    def test_unwritable_cache_dir_fails_before_computing(self, tmp_path, monkeypatch, forbid,
+                                                         capsys):
         # root may write into a read-only directory, so refuse the record's
         # file the way such a directory would
         def read_only(*a, **k):
             raise PermissionError(13, "Permission denied", str(tmp_path))
 
-        def boom(*a, **k):
-            raise AssertionError("computed before the record could be written")
-
         monkeypatch.setattr(presentations.tempfile, "mkstemp", read_only)
-        monkeypatch.setattr(presentations, "compute_block", boom)
+        forbid(presentations, "compute_block", "computed before the record could be written")
         with pytest.raises(OSError):
             block_result(spec(H_FUNCTOR, 2, SYM, 2), (3, 1), cache_dir=str(tmp_path))
         code = cli.main(["compute", "--functor", "H", "--rank", "2", "--hopf", "sym",
@@ -597,18 +587,14 @@ class TestConjugationDefectRows:
             assert_rows_match_up_to_signs(basis, rows, [row for row in folded if row])
 
     @pytest.mark.parametrize("kind", [SYM, TENSOR])
-    def test_applied_over_the_tensor_algebra_only(self, kind, monkeypatch):
+    def test_applied_over_the_tensor_algebra_only(self, kind, record):
         # over sym the product commutes, so v * r_i - r_i * v is zero;
         # each call hands over all the block's sums at once
-        handed = []
-        real = presentations.apply_expr
-        monkeypatch.setattr(presentations, "apply_expr",
-                            lambda H, exprs, t, support: handed.append(exprs)
-                            or real(H, exprs, t, support))
+        handed = record(presentations, "apply_expr")
         relation_rows(spec(OMEGA_FUNCTOR, 3, kind, 3), (2, 1, 1))
         assert handed
         defect = adjoint(presentations._CONJUGATION_DEFECT)
-        assert {defect in exprs for exprs in handed} == {kind == TENSOR}
+        assert {defect in exprs for _, exprs, _, _ in handed} == {kind == TENSOR}
 
 
 def all_blocks(functor):
@@ -636,16 +622,10 @@ class TestRowsFromColumns:
     column."""
 
     @pytest.mark.parametrize("functor", [H_FUNCTOR, OMEGA_FUNCTOR])
-    def test_rows_match_the_forward_rows(self, functor, monkeypatch):
-        # the sums and columns each block's rows were built from
-        applied = []
+    def test_rows_match_the_forward_rows(self, functor, record):
         real = presentations.apply_expr
-
-        def spy(H, exprs, tuples, support):
-            applied.append((exprs, tuples))
-            return real(H, exprs, tuples, support)
-
-        monkeypatch.setattr(presentations, "apply_expr", spy)
+        # the sums and columns each block's rows were built from
+        applied = record(presentations, "apply_expr")
         blocks = list(all_blocks(functor))
         assert len(blocks) == 292
         for s, weight in blocks:
@@ -655,7 +635,7 @@ class TestRowsFromColumns:
             # columns ascend within each row, as the rows go to rank_distinct
             assert all(list(row) == sorted(row) for row in rows), (s.key(), weight)
             stars = [adjoint(expr) for expr in block_relations(s, weight)]
-            ((exprs, tuples),) = applied
+            ((_, exprs, tuples, _),) = applied
             assert list(exprs) == stars
             assert list(tuples) == list(basis)
             # the whole images, regrouped column by column: vector i of
@@ -694,7 +674,7 @@ class TestSharedWordTree:
     it, and adds each tuple a word reaches into the rows of the vectors
     that hold it."""
 
-    def test_each_atom_runs_once_per_distinct_tuple(self, monkeypatch):
+    def test_each_atom_runs_once_per_distinct_tuple(self, record):
         s, weight = spec(H_FUNCTOR, 3, TENSOR, 3), (2, 1, 1)
         basis = tensor_basis(s.hopf, 3, weight)
         stars = [adjoint(expr) for expr in block_relations(s, weight)]
@@ -713,11 +693,9 @@ class TestSharedWordTree:
             *prefix, atom = node
             shared[atom] += len(reach(prefix, set(basis)))
             per_column[atom] += sum(len(reach(prefix, {u})) for u in basis)
-        calls = Counter()
-        real = tensorspace.apply_atom
-        monkeypatch.setattr(tensorspace, "apply_atom",
-                            lambda H, atom, t: calls.update([atom]) or real(H, atom, t))
+        applied = record(tensorspace, "apply_atom")
         relation_rows(s, weight)
+        calls = Counter(atom for _, atom, _ in applied)
         assert calls == shared
         # only swaps come before E*, and they permute the block's tuples,
         # so E* still runs once per column at its one node
@@ -758,11 +736,8 @@ class TestBlockGroups:
 
     # the benchmark's cells, and rank-3 tensor degree 5
     @pytest.mark.parametrize("hopf, scope", [(TENSOR, ((2, 5), (3, 5))), (SYM, ((2, 7), (3, 7)))])
-    def test_group_rows_are_the_lone_rows(self, monkeypatch, hopf, scope):
-        walks = []
-        real = presentations.apply_expr
-        monkeypatch.setattr(presentations, "apply_expr",
-                            lambda *args: walks.append(args[1]) or real(*args))
+    def test_group_rows_are_the_lone_rows(self, record, hopf, scope):
+        walks = record(presentations, "apply_expr")
         groups = space_groups(hopf, scope)
         for group in groups:
             assert [spec.functor for spec, _ in group] == [H_FUNCTOR, OMEGA_FUNCTOR]
@@ -770,7 +745,7 @@ class TestBlockGroups:
             with block_group(group):
                 grouped = [relation_rows(*block) for block in group]
             # one walk, each distinct relation once
-            (walked,) = walks
+            ((_, walked, _, _),) = walks
             assert len(set(walked)) == len(walked)
             assert grouped == [relation_rows(*block) for block in group], group
 

@@ -155,70 +155,33 @@ class TestOnePool:
     space, on one pool map and leaves no worker behind, also when a
     worker's block raises; a serial run looks each block up once."""
 
-    def test_a_serial_run_reads_each_record_once(self, table, tmp_path, monkeypatch):
-        reads = []
-        computed = []
-        read_record = presentations._read_record
-        compute_block = presentations.compute_block
-
-        def counted_read(path, spec, weight):
-            reads.append((spec, weight))
-            return read_record(path, spec, weight)
-
-        def counted_compute(spec, weight):
-            computed.append((spec, weight))
-            return compute_block(spec, weight)
-
-        monkeypatch.setattr(presentations, "_read_record", counted_read)
-        monkeypatch.setattr(presentations, "compute_block", counted_compute)
+    def test_a_serial_run_reads_each_record_once(self, table, tmp_path, record):
+        reads = record(presentations, "_read_record")
+        computed = record(presentations, "compute_block")
         verify_against(table, hopf="sym", max_degree=7, cache_dir=str(tmp_path))
         # a cold disk cache: every block is read once, found missing and computed
-        assert reads == computed
+        assert [(spec, weight) for _, spec, weight in reads] == computed
         assert len(computed) == len(set(computed)) == 134
 
-    def test_one_pool_per_verify_run(self, clean_cache, table, monkeypatch):
+    def test_one_pool_per_verify_run(self, clean_cache, table, record):
         serial = verify_against(table, rank=2, hopf="tensor", max_degree=5)
-        real_pool = multiprocessing.Pool
-        started = []
-
-        def counted(*args, **kwargs):
-            started.append(args)
-            return real_pool(*args, **kwargs)
-
         # else every block is cached and the pool gets no work
         clean_cache()
-        monkeypatch.setattr(multiprocessing, "Pool", counted)
+        started = record(multiprocessing, "Pool")
         assert verify_against(table, rank=2, hopf="tensor", max_degree=5, jobs=2) == serial
         assert started == [(2,)]
         assert multiprocessing.active_children() == []
 
     def test_one_largest_first_map_for_every_block_of_the_run(self, clean_cache, table,
-                                                              monkeypatch):
+                                                              serial_pool):
         serial = verify_against(table, hopf="tensor", max_degree=5)
         # the serial run leaves exactly the blocks of its cells in the cache
         used = set(presentations._MEM_CACHE)
-        maps = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=None):
-                maps.append((list(jobs), chunksize))
-                return [fn(job) for job in jobs]
-
         clean_cache()
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         assert verify_against(table, hopf="tensor", max_degree=5, jobs=2) == serial
         # one map, so no cell waits for the one before it
-        assert len(maps) == 1
-        handed, chunksize = maps[0]
+        assert len(serial_pool.maps) == 1
+        handed, chunksize = serial_pool.maps[0]
         assert chunksize == 1
         blocks = [block for group, _ in handed for block in group]
         assert len(blocks) == len(used)
@@ -232,40 +195,28 @@ class TestOnePool:
         sizes = [sum(block_cols(*block) for block in group) for group, _ in handed]
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_no_pool_when_every_block_is_cached(self, table, monkeypatch):
+    def test_no_pool_when_every_block_is_cached(self, table, forbid):
         first = verify_against(table, hopf="tensor", rank=2, max_degree=5, jobs=2)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("every block is cached; no pool needed")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        forbid(multiprocessing, "Pool", "every block is cached; no pool needed")
         assert verify_against(table, hopf="tensor", rank=2, max_degree=5, jobs=2) == first
 
     def test_pool_written_records_serve_a_serial_run(self, clean_cache, table, tmp_path,
-                                                     monkeypatch):
+                                                     forbid):
         # a memory hit writes no record, so every block starts a miss
         clean_cache()
         pooled = verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=2,
                                 cache_dir=str(tmp_path))
         clean_cache()
-
-        def boom(*args, **kwargs):
-            raise AssertionError("should have come from disk")
-
-        monkeypatch.setattr(presentations, "compute_block", boom)
+        forbid(presentations, "compute_block", "should have come from disk")
         assert verify_against(table, hopf="tensor", rank=2, max_degree=4, jobs=1,
                               cache_dir=str(tmp_path)) == pooled
 
-    def test_no_pool_on_a_warm_cache_dir(self, clean_cache, table, tmp_path, monkeypatch):
+    def test_no_pool_on_a_warm_cache_dir(self, clean_cache, table, tmp_path, forbid):
         cold = verify_against(table, hopf="tensor", max_degree=5, cache_dir=str(tmp_path))
         # every block is now on disk and none in memory
         clean_cache()
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("every block is on disk; no pool needed")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        monkeypatch.setattr(presentations, "compute_block", no_pool)
+        forbid(multiprocessing, "Pool", "every block is on disk; no pool needed")
+        forbid(presentations, "compute_block", "every block is on disk; no pool needed")
         assert verify_against(table, hopf="tensor", max_degree=5, jobs=2,
                               cache_dir=str(tmp_path)) == cold
 
