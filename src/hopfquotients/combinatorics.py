@@ -18,7 +18,7 @@ def is_partition(lam) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-def partitions_of(n: int, max_parts: int | None = None):
+def partitions_of(n: int, max_parts: int):
     """All partitions of n with at most max_parts parts, in descending
     lexicographic order.
 
@@ -27,8 +27,6 @@ def partitions_of(n: int, max_parts: int | None = None):
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if max_parts is None:
-        max_parts = n
     out = []
 
     def grow(prefix, remaining, bound, slots):

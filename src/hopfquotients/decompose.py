@@ -13,8 +13,7 @@ prod(lam'_j!) monomials per cut at lam, against f^lam * prod(lam_i!)
 at lam'.  Over odd generators the functor holds mult_lam copies of the
 irreducible of shape lam' (super duality, as for the sign blocks of
 presentations), so the HW block at lam' over odd generators has the
-same quotient dimension.  It is taken instead when M(lam) > M(lam'),
-with M(lam) = d!/prod(lam_i!), that is when prod(lam_i!) <
+same quotient dimension.  It is taken instead when prod(lam_i!) <
 prod(lam'_j!): the smaller expansion.
 
 Check blocks confirm the HW ranks.  An ordinary weight block at mu has
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, replace
+from math import factorial, prod
 
 from .combinatorics import (
     conjugate,
@@ -177,13 +177,11 @@ def cell_blocks(spec: FunctorSpec, degree: int) -> tuple:
 
     def hw_block(lam):
         # lam, or lam' over odd generators where its bideterminants
-        # expand to fewer monomials, which is where M(lam) > M(lam'):
-        # the weight blocks' sizes are C(d + rank - 1, rank - 1) times
-        # M(lam) and M(lam')
-        lam, dual = pad_weight(lam, m), pad_weight(conjugate(lam), m)
-        if not sym and block_cols(wspec, lam) > block_cols(wspec, dual):
-            return odd(hw), dual
-        return hw, lam
+        # expand to fewer monomials: where prod(lam_i!) < prod(lam'_j!)
+        dual = conjugate(lam)
+        if not sym and prod(map(factorial, lam)) < prod(map(factorial, dual)):
+            return odd(hw), pad_weight(dual, m)
+        return hw, pad_weight(lam, m)
 
     r = min(wspec.rank if sym else 2, degree)
     hook = pad_weight((degree - r + 1,) + (1,) * (r - 1) if r else (), m)

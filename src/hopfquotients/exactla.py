@@ -4,7 +4,10 @@ Rows live in dicts column -> integer coefficient, with no zero entries.
 rank_distinct is the engine's entry point: it normalizes the rows
 (content divided out, coefficient at the lowest column positive) in
 one gcd and at most one copy per row, drops repeats of a line before
-any elimination, and hands the rest to rank_sparse.
+any elimination, and hands the rest to rank_sparse.  It finds a repeat
+by the hash of the row's sorted items and compares it with the row
+kept under that hash, so it holds one hash per kept row and no second
+copy of it.
 
 rank_sparse eliminates the columns, since rank(A) = rank(A^T).  The
 engine's blocks are tall: a block has several times as many distinct
@@ -69,9 +72,12 @@ def rank_distinct(rows) -> int:
     its content, negated if its coefficient at the lowest column is
     negative, and kept itself when that changes nothing, else copied
     once.  Only the first row on each line is kept, and the kept rows go
-    to rank_sparse in their original order."""
+    to rank_sparse in their original order.  A row is found again by the
+    hash of its sorted items and dropped only when it equals the row kept
+    under that hash, so no copy of the kept rows is held, and a hash
+    collision can only keep an extra row, which changes no rank."""
     distinct = []
-    seen = set()
+    kept = {}
     for row in rows:
         if not row:
             continue
@@ -79,13 +85,14 @@ def rank_distinct(rows) -> int:
         if row[min(row)] < 0:
             g = -g
         norm = row if g == 1 else {c: v // g for c, v in row.items()}
-        key = tuple(sorted(norm.items()))
-        if key not in seen:
-            seen.add(key)
-            distinct.append(norm)
-    # the keys hold a second copy of every row; free them before the
-    # elimination reaches its peak
-    del seen
+        key = hash(tuple(sorted(norm.items())))
+        if key not in kept:
+            kept[key] = norm
+        elif kept[key] == norm:
+            continue
+        distinct.append(norm)
+    # the elimination needs no hashes; free them before its peak
+    del kept
     return rank_sparse(distinct)
 
 

@@ -93,9 +93,8 @@ import hashlib
 import tempfile
 from dataclasses import dataclass, replace
 from contextlib import contextmanager
-from itertools import combinations_with_replacement, groupby, permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
-from operator import itemgetter
 
 from .combinatorics import kostka, weyl_dim
 from .exactla import rank_distinct
@@ -326,16 +325,14 @@ def _space_rows(blocks) -> list:
                       for rel in block_relations(bspec, weight)])
     sums = apply_expr(H, tuple(adjoint(rel) for rel in walked), basis, support)
     rows: list = [[] for _ in blocks]
-    # the keys (i, r) sort vector by vector
-    for _, keys in groupby(sorted(sums), key=itemgetter(0)):
-        kept = {}
-        for key in keys:
-            row = sums.pop(key)
-            row = {col: row[col] for col in sorted(row) if row[col]}
-            if row:
-                kept[key[1]] = row
+    # a block has one vector per basis entry, so i then r is generation order
+    for i in range(len(basis)):
+        kept = []
+        for r in range(len(walked)):
+            row = sums.pop((i, r), {})
+            kept.append({col: row[col] for col in sorted(row) if row[col]})
         for out, pick in zip(rows, picks):
-            out.extend(kept[r] for r in pick if r in kept)
+            out.extend(kept[r] for r in pick if kept[r])
     return [(basis, out) for out in rows]
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
-from hopfquotients import presentations
+from hopfquotients import exactla, presentations
 
 settings.register_profile("repro", deadline=None, derandomize=True)
 settings.load_profile("repro")
@@ -79,3 +79,12 @@ def record(monkeypatch):
         return calls
 
     return record
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """exactla.rank_sparse replaced by a stub that answers 0; the list it
+    returns receives each rows list the stub is handed, in call order."""
+    handed = []
+    monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
+    return handed

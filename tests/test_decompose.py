@@ -254,6 +254,24 @@ class TestTwoEndedSolve:
             predicted = sum(mult * kostka(conjugate(kappa), lam) for kappa, mult in mults.items())
             assert quotient_dim(sspec, pad_weight(lam, max(degree, 1))) == predicted, lam
 
+    def test_the_hw_side_has_the_smaller_weight_blocks(self):
+        # lam' over odd generators is taken where the factorials of the
+        # shapes say its bideterminants expand to fewer monomials, which
+        # is where lam's weight block is larger than lam''s, on every
+        # tensor partition of ranks 1-3 to degree 12
+        sides = 0
+        for functor in (H_FUNCTOR, OMEGA_FUNCTOR):
+            for rank in (1, 2, 3):
+                for degree in range(13):
+                    wspec, hw, _ = cell_blocks(spec(functor, rank, TENSOR), degree)
+                    m = wspec.hopf.num_vars
+                    for lam, (bspec, weight) in hw.items():
+                        lam, dual = pad_weight(lam, m), pad_weight(conjugate(lam), m)
+                        larger = block_cols(wspec, lam) > block_cols(wspec, dual)
+                        assert (bspec.hopf.odd, weight) == ((True, dual) if larger else (False, lam))
+                        sides += 1
+        assert sides == 1632
+
     def test_weight_dims_on_the_down_set_are_the_ordinary_ones(self):
         s = spec(OMEGA_FUNCTOR, 2, TENSOR)
         dec = decompose(s, 5)

@@ -10,7 +10,7 @@ from hopfquotients import exactla
 from hopfquotients.decompose import cell_blocks
 from hopfquotients.exactla import rank_distinct, rank_sparse
 from hopfquotients.hopf import TENSOR, HopfAlgebra
-from hopfquotients.presentations import H_FUNCTOR, FunctorSpec, compute_block
+from hopfquotients.presentations import H_FUNCTOR, FunctorSpec, compute_block, relation_rows
 from reference_dims import keyed_pivot_path, rank_dense
 
 
@@ -27,10 +27,32 @@ def random_rows(rng, nrows, ncols, density=0.4, lo=-5, hi=5):
     return rows
 
 
+def traced(fn, rows):
+    """(size, peak, value): the tracemalloc size of a deep copy of rows,
+    the peak that fn(rows) allocates above what is held when it starts,
+    and what it returns."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = copy.deepcopy(rows)
+        size = tracemalloc.get_traced_memory()[0] - before
+        del held
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn(rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return size, peak, value
+
+
 class TestRankDistinct:
     """rank_distinct, the normalize-and-dedup step in front of rank_sparse."""
 
-    def test_dedup(self, monkeypatch):
+    def test_dedup(self, request):
         rows = [
             {0: 2, 1: -2},
             {1: 5},
@@ -43,22 +65,31 @@ class TestRankDistinct:
             {3: 4, 1: -2},   # the lowest column, 1, is not the first key
         ]
         assert rank_distinct(iter(rows)) == 4
-        handed = []
-        monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
+        handed = request.getfixturevalue("handed")
         rank_distinct(rows)
         # first occurrence of each line, normalized, in input order
         assert handed == [[{0: 1, 1: -1}, {1: 1}, {3: 2, 7: -3}, {0: 1, 1: 2}, {1: 1, 3: -2}]]
 
-    def test_normal_rows_are_not_copied(self, monkeypatch):
+    def test_normal_rows_are_not_copied(self, handed):
         # a row that is primitive with a positive coefficient at its
         # lowest column goes on as the caller's own dict
         rows = [{0: 1, 2: -3}, {1: -2, 4: 6}, {5: 7, 2: 1}, {3: -1}]
-        handed = []
-        monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
         rank_distinct(rows)
         (kept,) = handed
         assert [k is r for k, r in zip(kept, rows)] == [True, False, True, False]
         assert kept[1] == {1: 1, 4: -3} and kept[3] == {3: 1}
+
+    def test_holds_no_copy_of_the_kept_rows(self, handed):
+        # the dedup finds a row again by a hash, so its peak above the
+        # rows of the H rank-3 tensor degree-6 HW block at (3, 2, 1)
+        # stays below their own size; a set of the rows' items, a second
+        # copy of each kept row, would take it past that
+        _, hw, _ = cell_blocks(FunctorSpec(H_FUNCTOR, 3, HopfAlgebra(TENSOR, 1)), 6)
+        _, rows = relation_rows(*hw[(3, 2, 1)])
+        size, peak, _ = traced(rank_distinct, rows)
+        (kept,) = handed
+        assert len(kept) < len(rows)
+        assert 0 < peak < size
 
 
 class TestRankKnown:
@@ -252,13 +283,10 @@ class TestEngineBlock:
     tensor degree-5 HW block at (3, 1, 1): 545 distinct rows over 126
     columns, of full rank."""
 
-    @pytest.fixture(scope="class")
-    def rows(self):
+    @pytest.fixture
+    def rows(self, handed):
         _, hw, _ = cell_blocks(FunctorSpec(H_FUNCTOR, 3, HopfAlgebra(TENSOR, 1)), 5)
-        handed = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
-            compute_block(*hw[(3, 1, 1)])
+        compute_block(*hw[(3, 1, 1)])
         (rows,) = handed
         assert len(rows) == 545
         return rows
@@ -268,21 +296,8 @@ class TestEngineBlock:
         # row, so its peak above the input stays within twice the size
         # of a copy of the input; a second copy of the columns, retired
         # pivot lines or a set of lines per row would take it past that
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            held = copy.deepcopy(rows)
-            size = tracemalloc.get_traced_memory()[0] - before
-            del held
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            assert rank_sparse(rows) == 126
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        size, peak, rank = traced(rank_sparse, rows)
+        assert rank == 126
         assert 0 < peak <= 2 * size
 
     def test_the_work_is_pinned(self, rows, record):

@@ -169,10 +169,8 @@ class TestBlockResult:
         assert res.quotient_dim == res.ambient_dim - res.rank == 1
 
 
-    def test_rows_reach_the_rank_in_generation_order(self, monkeypatch):
+    def test_rows_reach_the_rank_in_generation_order(self, handed):
         s = spec(H_FUNCTOR, 2, TENSOR, 3)
-        handed = []
-        monkeypatch.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
         compute_block(s, (2, 1, 1))
         expected = []
         for row in relation_rows(s, (2, 1, 1))[1]:
@@ -538,13 +536,11 @@ class TestCaching:
         assert list(tmp_path.iterdir()) == []
 
 
-def row_set_digest(s, weight):
+def row_set_digest(s, weight, handed):
     """sha256 of the sorted set of normalized nonzero relation rows, as
-    compute_block hands them to rank_sparse."""
-    handed = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "rank_sparse", lambda rows: handed.append(rows) or 0)
-        compute_block(s, weight)
+    compute_block hands them to rank_sparse; handed is the fixture's
+    list."""
+    compute_block(s, weight)
     (rows,) = handed
     keys = sorted(tuple(sorted(row.items())) for row in rows)
     return hashlib.sha256(repr(keys).encode()).hexdigest()
@@ -849,10 +845,11 @@ class TestRowGolden:
              "d942458d790d100c14de006118d1755dd418c6583a183164a9ee06dc03b374ee"),
         ],
     )
-    def test_row_set_digest(self, functor, rank, kind, m, entry, weight, reverse, digest):
+    def test_row_set_digest(self, functor, rank, kind, m, entry, weight, reverse, digest,
+                            handed):
         with general_reading() if entry == "none" else nullcontext():
             with reversed_reading() if reverse else nullcontext():
-                assert row_set_digest(spec(functor, rank, kind, m), weight) == digest
+                assert row_set_digest(spec(functor, rank, kind, m), weight, handed) == digest
 
     @pytest.mark.parametrize(
         "functor, rank, digest",
