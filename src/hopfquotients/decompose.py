@@ -35,8 +35,8 @@ How a run computes its blocks, grouped by space and on a pool or in
 this process, is written once, in the _pool_misses docstring.
 tables.verify_against hands it the blocks cell_blocks lists for all
 its cells, so that no cell waits for the one before it and the H and
-the Omega block of one space share their rows' generation, and then
-decomposes each cell.
+the Omega blocks of one space, HW and check blocks alike, share their
+rows' generation, and then decomposes each cell.
 """
 
 from __future__ import annotations
@@ -112,30 +112,32 @@ def _group_job(args):
 def _pool_misses(blocks, jobs, cache_dir) -> None:
     """The one rule for when and how a run computes its blocks, for every
     jobs.  It groups the (spec, weight) blocks by space
-    (presentations.block_space), so that the H and the Omega block at
-    one partition are one group, and keeps in each group the blocks that
+    (presentations.block_space), so that the H and the Omega HW block at
+    one partition, and the check blocks at that weight over the same
+    algebra, are one group, and keeps in each group the blocks that
     neither the memory cache nor a disk record in cache_dir holds,
     reading each record once; a hit joins the memory cache.  The missing
-    blocks of a group share one basis and one walk of their relations'
-    words (presentations.block_group), and each still gets its own rows
-    and its own rank.  With jobs >= 2 and two or more groups holding an
-    HW block, a pool maps the groups: it has jobs workers, or one per
-    group when there are fewer, and opens and closes inside this call
-    around one map, largest group first (by its blocks' columns) and one
-    at a time (Graham's LPT rule), so that no worker is left with a
-    large group at the end.  Otherwise each group is computed here, in
-    turn.  Either way every result is in the memory cache before this
-    returns, so the cells that follow only read it.  A warm cache_dir
-    computes nothing and starts no pool, and neither does decompose on a
-    cell with one HW block, such as a degree-1 tensor cell, whose two
-    check blocks make three groups."""
+    blocks of a group share one walk of their relations' words
+    (presentations.block_group), and each still gets its own rows and
+    its own rank.  With jobs >= 2 and two or more groups that hold an HW
+    block, a pool maps the groups: it has jobs workers, or one per group
+    when there are fewer, and opens and closes inside this call around
+    one map, largest group first (by its blocks' columns) and one at a
+    time (Graham's LPT rule), so that no worker is left with a large
+    group at the end.  Otherwise each group is computed here, in turn.
+    Either way every result is in the memory cache before this returns,
+    so the cells that follow only read it.  A warm cache_dir computes
+    nothing and starts no pool, and neither does decompose on a cell
+    with one HW block, such as a degree-1 tensor cell: its ordinary
+    check block joins the HW block's group and its sign check block
+    makes a second group, which holds no HW block."""
     groups: dict = {}
     for block in blocks:
         groups.setdefault(block_space(*block), []).append(block)
     missing = [[block for block in group if cached_result(*block, cache_dir) is None]
                for group in groups.values()]
     missing = [group for group in missing if group]
-    if jobs > 1 and sum(group[0][0].highest_weight for group in missing) > 1:
+    if jobs > 1 and sum(any(spec.highest_weight for spec, _ in group) for group in missing) > 1:
         missing.sort(key=lambda group: sum(block_cols(*block) for block in group), reverse=True)
         with multiprocessing.Pool(min(jobs, len(missing))) as pool:
             computed = pool.map(_group_job, [(group, cache_dir) for group in missing],

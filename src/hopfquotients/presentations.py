@@ -72,17 +72,23 @@ costs its columns, not its support, a word prefix the relations share
 is applied once per tuple that reaches it, however many columns do,
 and no image term outside the kept columns is built.
 
-A block's basis, columns and vectors depend on its space (block_space):
-all of the block but its functor.  So the blocks of one space that a
-run is missing, the H and the Omega block at one partition in a
-verify, share one basis and one walk over the adjoints of all their
-relations, each distinct relation once, inside block_group; each block
-then takes, vector by vector, the rows of its own relations in its own
-order, exactly the rows a walk for it alone gives, and is eliminated
-on its own.  The rows that wait for their block sit in _GROUP_ROWS,
-module state as the memory cache is, because block_result and
-relation_rows keep their (spec, weight) calls; block_group empties it
-on exit.  decompose._pool_misses forms the groups.
+A block's rows come from the weight block of its space (block_space):
+its algebra, rank and weight, all of the block but its functor and
+whether it is an HW block.  So the blocks of one space that a run is
+missing share one walk over the adjoints of all their relations, each
+distinct relation once, inside block_group: in a verify, the H and the
+Omega HW block at a partition and, at a cell's hook, the H and the
+Omega check block at that weight over that algebra.  With a weight
+block among them the walk's columns are the weight basis, and its
+vectors the weight basis's tuples followed by the bideterminants, and
+each HW block keeps the columns at its leading tuples; without one the
+columns are the leading tuples.  Each block then takes, vector by
+vector, the rows of its own relations in its own order, exactly the
+rows a walk for it alone gives, and is eliminated on its own.  The rows
+that wait for their block sit in _GROUP_ROWS, module state as the
+memory cache is, because block_result and relation_rows keep their
+(spec, weight) calls; block_group empties it on exit.
+decompose._pool_misses forms the groups.
 """
 
 from __future__ import annotations
@@ -253,11 +259,13 @@ def block_relations(spec: FunctorSpec, weight) -> tuple:
 
 
 def block_space(spec: FunctorSpec, weight) -> tuple:
-    """The space of a block: what its basis and columns depend on, which
-    is all of the block but its functor (the algebra, with its odd flag
-    and number of variables, the rank, highest_weight and the weight).
-    The H and the Omega block at one weight share their space."""
-    return spec.hopf, spec.rank, spec.highest_weight, tuple(weight)
+    """The space of a block: the weight block its basis and columns
+    come from, which is all of the block but its functor and whether it
+    is an HW block (the algebra, with its odd flag and number of
+    variables, the rank and the weight).  The H and the Omega block at
+    one weight share their space, and so do a weight block and the HW
+    blocks at its weight."""
+    return spec.hopf, spec.rank, tuple(weight)
 
 
 def relation_rows(spec: FunctorSpec, weight):
@@ -283,8 +291,9 @@ def relation_rows(spec: FunctorSpec, weight):
     support holds t.
 
     Inside block_group, the first block of the group to get here makes
-    that call for the whole group (_space_rows) and leaves the other
-    blocks' rows in _GROUP_ROWS, where their own calls find them.
+    that call for the whole group (_space_rows), over the weight basis
+    when the group holds a weight block, and leaves the other blocks'
+    rows in _GROUP_ROWS, where their own calls find them.
     """
     token = _cache_token(spec, weight)
     held = _GROUP_ROWS.pop(token, None)
@@ -301,39 +310,62 @@ def relation_rows(spec: FunctorSpec, weight):
 
 def _space_rows(blocks) -> list:
     """relation_rows for each of blocks, blocks of one space, from one
-    basis and one apply_expr call over their relations, each distinct
-    relation once.  Each block takes, vector by vector, the rows of its
-    own relations in its own order, so its rows are the ones a call for
-    it alone gives; two blocks may share a row's dict, which nothing
-    modifies."""
-    if len({block_space(*block) for block in blocks}) > 1:
+    apply_expr call over their relations, each distinct relation once.
+    With a weight block among them the columns are the weight basis, and
+    the vectors its tuples, then the bideterminants of the HW blocks, if
+    any, from index len(basis) on; each HW block keeps only the columns
+    at its leading tuples, in its own order.  Without one the columns
+    are the leading tuples.  Each block takes, vector by vector, the
+    rows of its own relations in its own order, so its rows are the ones
+    a call for it alone gives; two blocks may share a row's dict, which
+    nothing modifies."""
+    (H, n, weight), *others = {block_space(*block) for block in blocks}
+    if others:
         raise ValueError("blocks of different spaces share no rows")
-    spec, weight = blocks[0]
-    H = spec.hopf
-    weight = tuple(weight)
-    if spec.highest_weight:
-        basis, support = _highest_weight_basis(H, spec.rank, weight)
-    else:
+    columns, support = (), {}
+    # highest_weight -> (first vector, basis, {column: basis index} or None)
+    parts = {}
+    if not all(spec.highest_weight for spec, _ in blocks):
         # odd generators have the same basis: share the even block's cache entry
-        basis = tensor_basis(replace(H, odd=False), spec.rank, weight)
-        support = {t: ((i, 1),) for i, t in enumerate(basis)}
+        columns = tensor_basis(replace(H, odd=False), n, weight)
+        support = {t: ((i, 1),) for i, t in enumerate(columns)}
+        parts[False] = 0, columns, None
+    if any(spec.highest_weight for spec, _ in blocks):
+        lead, hw_support = _highest_weight_basis(H, n, weight)
+        if parts:
+            # the weight block's vectors come first
+            first = len(columns)
+            for t, vectors in hw_support.items():
+                support[t] += tuple((first + i, x) for i, x in vectors)
+            at = {t: k for k, t in enumerate(lead)}
+            parts[True] = first, lead, {j: at[t] for j, t in enumerate(columns) if t in at}
+        else:
+            columns, support = lead, hw_support
+            parts[True] = 0, lead, None
     # each distinct relation -> its index in the walk
     walked: dict = {}
     picks = []
     for bspec, _ in blocks:
         picks.append([walked.setdefault(rel, len(walked))
                       for rel in block_relations(bspec, weight)])
-    sums = apply_expr(H, tuple(adjoint(rel) for rel in walked), basis, support)
+    sums = apply_expr(H, tuple(adjoint(rel) for rel in walked), columns, support)
     rows: list = [[] for _ in blocks]
-    # a block has one vector per basis entry, so i then r is generation order
-    for i in range(len(basis)):
-        kept = []
-        for r in range(len(walked)):
-            row = sums.pop((i, r), {})
-            kept.append({col: row[col] for col in sorted(row) if row[col]})
-        for out, pick in zip(rows, picks):
-            out.extend(kept[r] for r in pick if kept[r])
-    return [(basis, out) for out in rows]
+    for hw, (first, basis, remap) in parts.items():
+        members = [(out, pick) for out, pick, (bspec, _) in zip(rows, picks, blocks)
+                   if bspec.highest_weight == hw]
+        # a block has one vector per basis entry, so i then r is generation order
+        for i in range(first, first + len(basis)):
+            kept = []
+            for rows_r in sums:
+                row = rows_r.pop(i, {})
+                if remap is None:
+                    kept.append({col: row[col] for col in sorted(row) if row[col]})
+                else:
+                    kept.append(dict(sorted((remap[j], c) for j, c in row.items()
+                                            if c and j in remap)))
+            for out, pick in members:
+                out.extend(kept[r] for r in pick if kept[r])
+    return [(parts[spec.highest_weight][1], out) for (spec, _), out in zip(blocks, rows)]
 
 
 def semistandard_tableaux(shape, n: int) -> list:

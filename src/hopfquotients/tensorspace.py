@@ -56,11 +56,13 @@ apply_expr is the entry point: it applies a tuple of formal sums to a
 list of basis tuples, the columns, and adds the images straight into
 the rows of a set of vectors, given by their support: a tuple t of the
 image of column j under sum r adds its coefficient, times x, into entry
-j of row (i, r) of each vector i that holds x * t.  It walks one prefix
-tree of all their words once for all the columns, so a prefix the sums
-share is applied once, and a tuple that many columns reach at a node
-goes through apply_atom once.  A word's image goes into the rows where
-the word ends; no image of a whole sum is ever built.  The engine
+j of the row of sum r of each vector i that holds x * t.  It walks one
+prefix tree of all their words once for all the columns, so a prefix
+the sums share is applied once, and a tuple that many columns reach at
+a node goes through the node's atom once: swap, S and U through one
+kernel each (_kernel), which apply_atom also uses, so each of their
+signs is written once.  A word's image goes into the rows where the
+word ends; no image of a whole sum is ever built.  The engine
 applies the adjoints of the relations of a block, or of the blocks of
 one space, all at once, to all of their columns (see presentations).
 """
@@ -103,27 +105,49 @@ def basis_size(H: HopfAlgebra, n: int, weight) -> int:
     return comb(d + n - 1, n - 1) * factorial(d) // prod(factorial(w) for w in weight)
 
 
-def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
-    """Apply one atom to a basis tuple; returns a vector over tuples.
-    A forward E, F or ad is no atom here: it raises ValueError."""
+# one kernel per (algebra, atom): a handful of each per run
+@lru_cache(maxsize=None)
+def _kernel(H: HopfAlgebra, atom: tuple):
+    """The one-to-one atoms swap, S and U as functions of a basis tuple
+    t, each returning the (tuple, sign) that t goes to, or None where U
+    drops t; None for the other atoms.  They send no two tuples to one."""
     kind = atom[0]
     if kind == "swap":
         _, i, j = atom
-        lst = list(t)
-        lst[i], lst[j] = lst[j], lst[i]
-        if not H.odd:
-            return {tuple(lst): 1}
-        a, b = len(t[i]), len(t[j])
-        between = sum(map(len, t[min(i, j) + 1 : max(i, j)]))
-        return {tuple(lst): (-1) ** (a * b + (a + b) * between)}
+        lo, hi = min(i, j), max(i, j)
+
+        def swap(t):
+            lst = list(t)
+            lst[i], lst[j] = t[j], t[i]
+            if not H.odd:
+                return tuple(lst), 1
+            a, b = len(t[i]), len(t[j])
+            between = sum(map(len, t[lo + 1 : hi]))
+            return tuple(lst), (-1) ** (a * b + (a + b) * between)
+
+        return swap
     if kind == "S":
         i = atom[1]
-        sign, elem = H.antipode(t[i])
-        lst = list(t)
-        lst[i] = elem
-        return {tuple(lst): sign}
+
+        def antipode(t):
+            sign, elem = H.antipode(t[i])
+            return t[:i] + (elem,) + t[i + 1 :], sign
+
+        return antipode
     if kind == "U":
-        return {} if t[atom[1]] else {t: 1}
+        i = atom[1]
+        return lambda t: None if t[i] else (t, 1)
+    return None
+
+
+def apply_atom(H: HopfAlgebra, atom: tuple, t: tuple) -> dict:
+    """Apply one atom to a basis tuple; returns a vector over tuples.
+    A forward E, F or ad is no atom here: it raises ValueError."""
+    kernel = _kernel(H, atom)
+    if kernel is not None:
+        image = kernel(t)
+        return {} if image is None else dict((image,))
+    kind = atom[0]
     if kind == "E*":
         x, y, rest = t[0], t[1], t[2:]
         return {
@@ -193,35 +217,37 @@ def _word_tree(exprs) -> tuple:
     return root
 
 
-# atoms that send a tuple to at most one tuple, and no two tuples to the
-# same one
-_MONOMIAL = frozenset(("swap", "S", "U"))
-
-
-def _walk(H: HopfAlgebra, node: tuple, state: dict, support: dict, sums: dict) -> None:
+def _walk(H: HopfAlgebra, node: tuple, state: dict, support: dict, sums: list) -> None:
     """Add state, the image of the node's prefix, into the row sums of
     each word that ends at node, and walk on into its children.  state
     maps each tuple the prefix reaches to (scale, payload): the tuple's
     coefficient in the image of column j is scale * payload[j]."""
     leaves, children = node
-    for r, coeff in leaves:
+    if leaves:
         for t, (scale, payload) in state.items():
-            for i, x in support.get(t, ()):
-                c = coeff * scale * x
-                row = sums.get((i, r))
-                # first write in one comprehension; pays on frontier blocks (ROADMAP dead ends)
-                if row is None:
-                    sums[i, r] = {j: c * y for j, y in payload.items()}
-                else:
-                    for j, y in payload.items():
-                        row[j] = row.get(j, 0) + c * y
+            vectors = support.get(t)
+            if vectors is None:
+                continue
+            for r, coeff in leaves:
+                rows = sums[r]
+                for i, x in vectors:
+                    c = coeff * scale * x
+                    row = rows.get(i)
+                    # first write in one comprehension; pays on frontier blocks (ROADMAP dead ends)
+                    if row is None:
+                        rows[i] = {j: c * y for j, y in payload.items()}
+                    else:
+                        for j, y in payload.items():
+                            row[j] = row.get(j, 0) + c * y
     for atom, child in children.items():
         nxt: dict = {}
-        if atom[0] in _MONOMIAL:
+        kernel = _kernel(H, atom)
+        if kernel is not None:
             # a one-to-one image: re-key each payload, shared, and scale it
             for t, (scale, payload) in state.items():
-                for t2, c in apply_atom(H, atom, t).items():
-                    nxt[t2] = (scale * c, payload)
+                image = kernel(t)
+                if image is not None:
+                    nxt[image[0]] = (scale * image[1], payload)
         else:
             # tuples merge: sum their payloads into fresh dicts
             for t, (scale, payload) in state.items():
@@ -239,33 +265,36 @@ def _walk(H: HopfAlgebra, node: tuple, state: dict, support: dict, sums: dict) -
             _walk(H, child, nxt, support, sums)
 
 
-def apply_expr(H: HopfAlgebra, exprs: tuple, tuples, support: dict) -> dict:
+def apply_expr(H: HopfAlgebra, exprs: tuple, tuples, support: dict) -> list:
     """exprs is a tuple of formal sums, each a tuple of (coeff, word)
     pairs, tuples a sequence of basis tuples, the columns, and support
     maps a basis tuple t to the (i, x) pairs of the vectors i that hold
-    x * t.  Returns the row sums {(i, r): {j: c}}, where c pairs vector
-    i with sum r applied to tuples[j], the basis tuples orthonormal: c
-    is the sum, over the tuples t of that image and the (i, x) in
-    support[t], of x times the coefficient of t.  A sum may hold zeros.
+    x * t.  Returns the row sums, one dict {i: {j: c}} per sum r, where
+    c pairs vector i with sum r applied to tuples[j], the basis tuples
+    orthonormal: c is the sum, over the tuples t of that image and the
+    (i, x) in support[t], of x times the coefficient of t.  A sum may
+    hold zeros.
 
     The words of all the sums share one prefix tree (_word_tree), walked
     once for all the columns.  At each node the walk holds each distinct
     tuple the prefix reaches once, with the columns that reach it, so
-    each goes through apply_atom once however many columns share it.
-    swap, S and U hand a tuple's columns on unchanged, up to a sign;
-    E*, F* and ad* merge those of the tuples they map together.  Where a
-    word ends, each tuple adds its columns into the rows of the vectors
-    that hold it.  This is exact by linearity.  Two sums that share the
-    prefix swap(0, 1) apply it once to each of the two columns, and once
-    to the tuple that column 2 repeats; vector 0 is t, vector 1 is u:
+    each goes through an atom once however many columns share it.
+    swap, S and U (_kernel) hand a tuple's columns on unchanged, up to a
+    sign; E*, F* and ad* merge those of the tuples they map together.
+    Where words end, each tuple looks up its support once and adds its
+    columns into the rows of the vectors that hold it.  This is exact by
+    linearity.  Two sums that share the prefix swap(0, 1) apply it once
+    to each of the two columns, and once to the tuple that column 2
+    repeats; vector 0 is t, vector 1 is u:
 
     >>> from hopfquotients.hopf import TENSOR
     >>> H = HopfAlgebra(TENSOR, 2)
     >>> swap, S0 = ("swap", 0, 1), ("S", 0)
     >>> exprs = (((1, (swap,)),), ((1, (swap, S0)),))
     >>> t, u = ((0,), (1,)), ((1,), (0,))
-    >>> sorted(apply_expr(H, exprs, [t, u, t], {t: ((0, 1),), u: ((1, 1),)}).items())
-    [((0, 0), {1: 1}), ((0, 1), {1: -1}), ((1, 0), {0: 1, 2: 1}), ((1, 1), {0: -1, 2: -1})]
+    >>> sums = apply_expr(H, exprs, [t, u, t], {t: ((0, 1),), u: ((1, 1),)})
+    >>> [sorted(rows.items()) for rows in sums]
+    [[(0, {1: 1}), (1, {0: 1, 2: 1})], [(0, {1: -1}), (1, {0: -1, 2: -1})]]
 
     The memoized coproduct transposes that E* and F* fill are cleared
     at the end, so the cache never grows with the length of a run.
@@ -273,7 +302,7 @@ def apply_expr(H: HopfAlgebra, exprs: tuple, tuples, support: dict) -> dict:
     state: dict = {}
     for j, t in enumerate(tuples):
         state.setdefault(t, (1, {}))[1][j] = 1
-    sums: dict = {}
+    sums: list = [{} for _ in exprs]
     _walk(H, _word_tree(exprs), state, support, sums)
     _coproduct_transpose.cache_clear()
     return sums

@@ -7,14 +7,17 @@ algebra, which the engine applies only through their transposes and
 factorizations: the coproduct sums over every subset of a word's
 letters sent to the left leg, with the Koszul sign over odd generators.
 
-apply_atom() adds to the engine's atoms the forward E, F and ad, in
-which the relations are written: the engine applies only their
-adjoints E*, F* and ad*, and the tests check those against these.  It
-also adds four two-slot atoms (gamma, tau, delta, s), which with the
-slot helpers (coproduct_into, counit_slot, merge_slots) are written
-straight from the Hopf structure maps; the relations use none of them.
-They check E and F against merge and counit, swap and antipode against
-tau and delta, and the Hopf identities.
+apply_atom() applies every atom the relations are written in,
+forward, from the structure maps: swap with the Koszul sign of the
+permutation of slots (permute_slots), S through the antipode, U
+through the counit, and E, F and ad; the engine has its own swap, S
+and U, and applies only the adjoints E*, F* and ad* of the others, and
+the tests check both against these.  It also adds four two-slot atoms
+(gamma, tau, delta, s), which with the slot helpers (coproduct_into,
+counit_slot, merge_slots) are written straight from the Hopf structure
+maps; the relations use none of them.  They check E and F against
+merge and counit, swap and antipode against tau and delta, and the
+Hopf identities.
 
 apply_expr() applies one formal sum of words to a tuple, word by word,
 with nothing shared between words: the reference for the engine's
@@ -44,6 +47,10 @@ the general presentation RANK3_H_EXPRS, which the engine uses only over
 the tensor algebra, so a test can compare it with the even and odd
 presentations the engine uses over Sym.
 
+space_groups() lists the blocks of a set of cells grouped by space, as
+decompose._pool_misses groups them, so that a test can count the groups
+a run makes or walk each group.
+
 reversed_reading() swaps in the other composition order of the rank-3
 operator words, so a test can show that it is not the one matching the
 published tables.
@@ -57,12 +64,17 @@ from itertools import combinations_with_replacement, permutations, product as ip
 import pytest
 
 from hopfquotients import presentations
-from hopfquotients.hopf import SYM, add_into
+from hopfquotients.decompose import cell_blocks
+from hopfquotients.hopf import SYM, HopfAlgebra, add_into
 from hopfquotients.presentations import (
+    H_FUNCTOR,
+    OMEGA_FUNCTOR,
+    FunctorSpec,
     RANK3_H_EXPRS,
     SYM_EVEN_EXPRS,
     SYM_ODD_EXPRS,
     block_relations,
+    block_space,
     semistandard_tableaux,
     standard_tableaux,
 )
@@ -116,10 +128,23 @@ def coproduct(H, x):
     return tuple((left, right, c) for (left, right), c in out.items())
 
 
+def permute_slots(H, t, order):
+    """(tuple, sign): the tuple whose slot k is t[order[k]], and over odd
+    generators the Koszul sign, a factor (-1)^(|t_p| |t_q|) for each pair
+    of slots p < q that order puts the other way round."""
+    at = {p: k for k, p in enumerate(order)}
+    sign = 1
+    for q in range(len(t)):
+        for p in range(q):
+            if H.odd and at[p] > at[q] and len(t[p]) * len(t[q]) % 2:
+                sign = -sign
+    return tuple(t[p] for p in order), sign
+
+
 def apply_atom(H, atom, t):
-    """tensorspace.apply_atom, plus the forward branching atoms E, F and
-    ad of the tensorspace docstring, whose adjoints the engine applies,
-    and four two-slot atoms:
+    """The atoms swap, S, U, E, F and ad of the tensorspace docstring,
+    forward, the starred ones through tensorspace.apply_atom, and four
+    two-slot atoms:
 
     ('gamma',)   a (x) b  ->  S(b_1) (x) a S(b_2)
     ('tau',)     a (x) b  ->  b (x) a
@@ -127,6 +152,18 @@ def apply_atom(H, atom, t):
     ('s',)       a (x) b  ->  S(b) (x) a
     """
     kind = atom[0]
+    if kind == "swap":
+        _, i, j = atom
+        order = list(range(len(t)))
+        order[i], order[j] = j, i
+        image, sign = permute_slots(H, t, order)
+        return {image: sign}
+    if kind == "S":
+        i = atom[1]
+        sign, elem = H.antipode(t[i])
+        return {t[:i] + (elem,) + t[i + 1 :]: sign}
+    if kind == "U":
+        return {t: 1} if counit(t[atom[1]]) else {}
     if kind == "gamma":
         a, b = t
         out: dict = {}
@@ -399,6 +436,22 @@ def forward_rows(spec, weight, basis):
         rows = [{index[u]: c for u, c in apply_expr(spec.hopf, expr, t).items()}
                 for t in basis for expr in block_relations(spec, weight)]
     return [row for row in rows if row]
+
+
+def space_groups(hopf, scope, functors=(H_FUNCTOR, OMEGA_FUNCTOR)):
+    """The blocks of the cells of each of functors over hopf, at rank r
+    and each degree in degrees for each (r, degrees) in scope, as
+    cell_blocks lists them, grouped by space (block_space) in listing
+    order, as decompose._pool_misses groups them."""
+    groups: dict = {}
+    for functor in functors:
+        for rank, degrees in scope:
+            for degree in degrees:
+                _, hw, checks = cell_blocks(FunctorSpec(functor, rank, HopfAlgebra(hopf, 1)),
+                                            degree)
+                for block in (*hw.values(), *checks):
+                    groups.setdefault(block_space(*block), []).append(block)
+    return list(groups.values())
 
 
 @contextmanager

@@ -259,7 +259,7 @@ def test_criterion_10_property_suite(capsys):
                 swap_twice = ((1, (("swap", 0, 1),) * 2),)
                 identity = {t: ((j, 1),) for j, t in enumerate(basis)}
                 sums = apply_expr(H, (swap_twice,), basis, identity)
-                assert sums == {(j, 0): {j: 1} for j in range(len(basis))}
+                assert sums == [{j: {j: 1} for j in range(len(basis))}]
 
         # sparse and dense rank agree on real relation matrices
         for s, weight in [

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from reference_dims import quotient_dim
-from reference_ops import general_reading, reversed_reading
+from reference_ops import general_reading, reversed_reading, space_groups
 from hopfquotients import cli
 from hopfquotients.combinatorics import conjugate, kostka, partitions_of
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
@@ -154,9 +154,13 @@ class TestDecompositionShape:
         pooled = decompose(s, 5, jobs=2)
         handed = [job for jobs, _ in serial_pool.maps for job in jobs]
         chunksizes = [chunksize for _, chunksize in serial_pool.maps]
-        # one functor, so each block is a group of its own
-        assert all(len(group) == 1 for group, _ in handed)
-        sizes = [block_cols(*group[0]) for group, _ in handed]
+        # one functor, so a group is an HW block, with the check block
+        # at its weight where there is one, or a check block alone
+        groups = space_groups(TENSOR, ((2, [5]),), (OMEGA_FUNCTOR,))
+        assert len(handed) == len(groups)
+        assert {tuple(group) for group, _ in handed} == set(map(tuple, groups))
+        assert any(len(group) == 2 for group in groups)
+        sizes = [sum(block_cols(*block) for block in group) for group, _ in handed]
         assert len(sizes) > 2 and sizes == sorted(sizes, reverse=True)
         # one group at a time, so no worker takes a run of the largest
         assert chunksizes and set(chunksizes) == {1}
@@ -174,18 +178,31 @@ class TestDecompositionShape:
         serial = decompose(s, 3)
         clean_cache()
         assert decompose(s, 3, jobs=64).entries == serial.entries
-        # three HW blocks and two check blocks, so five groups of one and
-        # five workers, not 64
-        assert serial_pool.processes == [len(jobs) for jobs, _ in serial_pool.maps] == [5]
+        # three HW blocks and two check blocks, one of which shares the
+        # weight and the algebra of an HW block: a worker per group, not 64
+        groups = len(space_groups(TENSOR, ((2, [3]),), (H_FUNCTOR,)))
+        assert serial_pool.processes == [len(jobs) for jobs, _ in serial_pool.maps] == [groups]
         # with Omega's blocks too, each group holds both functors' blocks
-        # of one space: still five groups, so five workers
+        # of one space: as many groups, so as many workers
         clean_cache()
         blocks = [block for f in (H_FUNCTOR, OMEGA_FUNCTOR)
                   for _, hw, checks in [cell_blocks(spec(f, 2, TENSOR), 3)]
                   for block in (*hw.values(), *checks)]
         _pool_misses(blocks, 64, None)
-        assert serial_pool.processes == [len(jobs) for jobs, _ in serial_pool.maps] == [5, 5]
+        assert len(space_groups(TENSOR, ((2, [3]),))) == groups
+        assert serial_pool.processes == [len(jobs) for jobs, _ in serial_pool.maps] == [groups] * 2
         assert all(presentations.cached_result(*block) is not None for block in blocks)
+
+    def test_an_hw_block_anywhere_in_a_group_counts(self, serial_pool):
+        # at the hook (3, 1) of rank-2 tensor degree 4 the ordinary check
+        # joins the even HW block and the sign check the odd one; listed
+        # first, the checks still leave two groups that hold an HW block
+        _, hw, checks = cell_blocks(spec(H_FUNCTOR, 2, TENSOR), 4)
+        hook = [block for block in hw.values() if block[1] == checks[0][1]]
+        _pool_misses([*checks, *hook], 2, None)
+        ((handed, _),) = serial_pool.maps
+        assert sorted(len(group) for group, _ in handed) == [2, 2]
+        assert all(presentations.cached_result(*block) is not None for block in checks + hook)
 
     def test_no_pool_for_one_missing_hw_block(self, forbid):
         s = spec(H_FUNCTOR, 2, TENSOR)

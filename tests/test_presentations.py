@@ -21,10 +21,10 @@ from reference_ops import (
     reversed_reading,
     sign_block_rows,
     sign_fold,
+    space_groups,
     unprojected_hw_rows,
 )
 from hopfquotients.combinatorics import cusp_dim, partitions_of, weyl_dim
-from hopfquotients.decompose import cell_blocks
 from hopfquotients import exactla
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients import cli, presentations, version
@@ -639,10 +639,11 @@ class TestRowsFromColumns:
             block = tensor_basis(replace(s.hopf, odd=False), s.rank, weight)
             identity = {t: ((i, 1),) for i, t in enumerate(block)}
             columns = [[{} for _ in stars] for _ in basis]
-            for (i, r), cols in real(s.hopf, exprs, tuples, identity).items():
-                for j, c in cols.items():
-                    if c:
-                        columns[j][r][block[i]] = c
+            for r, sums in enumerate(real(s.hopf, exprs, tuples, identity)):
+                for i, cols in sums.items():
+                    for j, c in cols.items():
+                        if c:
+                            columns[j][r][block[i]] = c
             for u, got in zip(basis, columns):
                 want = [reference_apply_expr(s.hopf, star, u) for star in stars]
                 assert got == want, (s.key(), weight, u)
@@ -670,7 +671,7 @@ class TestSharedWordTree:
     it, and adds each tuple a word reaches into the rows of the vectors
     that hold it."""
 
-    def test_each_atom_runs_once_per_distinct_tuple(self, record):
+    def test_each_atom_runs_once_per_distinct_tuple(self, record, monkeypatch):
         s, weight = spec(H_FUNCTOR, 3, TENSOR, 3), (2, 1, 1)
         basis = tensor_basis(s.hopf, 3, weight)
         stars = [adjoint(expr) for expr in block_relations(s, weight)]
@@ -689,7 +690,23 @@ class TestSharedWordTree:
             *prefix, atom = node
             shared[atom] += len(reach(prefix, set(basis)))
             per_column[atom] += sum(len(reach(prefix, {u})) for u in basis)
+        # E*, F* and ad* go through apply_atom, swap, S and U through
+        # their kernels, which apply_atom does not reach in the walk
         applied = record(tensorspace, "apply_atom")
+        kernel = tensorspace._kernel
+
+        def counted(H, atom):
+            real = kernel(H, atom)
+            if real is None:
+                return None
+
+            def count(t):
+                applied.append((H, atom, t))
+                return real(t)
+
+            return count
+
+        monkeypatch.setattr(tensorspace, "_kernel", counted)
         relation_rows(s, weight)
         calls = Counter(atom for _, atom, _ in applied)
         assert calls == shared
@@ -709,34 +726,23 @@ class TestSharedWordTree:
         assert _coproduct_transpose.cache_info().currsize == 0
 
 
-def space_groups(hopf, scope):
-    """The blocks of the H and the Omega cells of hopf, rank r up to
-    degree top for each (r, top) in scope, grouped by space in listing
-    order, as decompose._pool_misses groups them."""
-    groups = {}
-    for functor in (H_FUNCTOR, OMEGA_FUNCTOR):
-        for rank, top in scope:
-            for degree in range(top + 1):
-                _, hw, checks = cell_blocks(FunctorSpec(functor, rank, HopfAlgebra(hopf, 1)),
-                                            degree)
-                for block in (*hw.values(), *checks):
-                    groups.setdefault(block_space(*block), []).append(block)
-    return list(groups.values())
-
-
 class TestBlockGroups:
-    """Inside block_group the blocks of one space share one basis and one
-    walk of their relations' words, and each still gets the rows a walk
-    for it alone gives; the rows that wait for their block never outlive
-    the group."""
+    """Inside block_group the blocks of one space, HW and check blocks at
+    one weight alike, share one walk of their relations' words, and each
+    still gets the rows a walk for it alone gives; the rows that wait for
+    their block never outlive the group."""
 
     # the benchmark's cells, and rank-3 tensor degree 5
-    @pytest.mark.parametrize("hopf, scope", [(TENSOR, ((2, 5), (3, 5))), (SYM, ((2, 7), (3, 7)))])
+    @pytest.mark.parametrize("hopf, scope", [(TENSOR, ((2, range(6)), (3, range(6)))),
+                                             (SYM, ((2, range(8)), (3, range(8))))])
     def test_group_rows_are_the_lone_rows(self, record, hopf, scope):
         walks = record(presentations, "apply_expr")
         groups = space_groups(hopf, scope)
+        # some groups hold an HW block and a check block
+        assert any(len({spec.highest_weight for spec, _ in group}) == 2 for group in groups)
         for group in groups:
-            assert [spec.functor for spec, _ in group] == [H_FUNCTOR, OMEGA_FUNCTOR]
+            functors = [spec.functor for spec, _ in group]
+            assert functors.count(H_FUNCTOR) == functors.count(OMEGA_FUNCTOR) >= 1
             walks.clear()
             with block_group(group):
                 grouped = [relation_rows(*block) for block in group]
@@ -745,14 +751,40 @@ class TestBlockGroups:
             assert len(set(walked)) == len(walked)
             assert grouped == [relation_rows(*block) for block in group], group
 
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_the_hook_group_walks_the_weight_basis_once(self, record, odd):
+        # at the hook (3, 1) of rank-3 tensor degree 4 the ordinary check
+        # joins the even HW block and the sign check the odd one
+        hook = (3, 1, 0, 0)
+        (group,) = [group for group in space_groups(TENSOR, ((3, [4]),))
+                    if group[0][1] == hook and group[0][0].hopf.odd == odd]
+        assert sorted((spec.functor, spec.highest_weight) for spec, _ in group) == [
+            (H_FUNCTOR, False), (H_FUNCTOR, True), (OMEGA_FUNCTOR, False), (OMEGA_FUNCTOR, True)]
+        walks = record(presentations, "apply_expr")
+        with block_group(group):
+            grouped = [relation_rows(*block) for block in group]
+        ((_, _, columns, _),) = walks
+        weight_basis = tensor_basis(HopfAlgebra(TENSOR, 4), 3, hook)
+        assert list(columns) == list(weight_basis)
+        # each HW block keeps the columns at its leading tuples
+        for (s, _), (basis, _) in zip(group, grouped):
+            if s.highest_weight:
+                assert len(basis) < len(weight_basis) and set(basis) < set(weight_basis)
+            else:
+                assert basis == weight_basis
+
     def test_the_store_is_empty_after_a_group(self, monkeypatch):
-        group = next(group for group in space_groups(TENSOR, ((3, 3),))
-                     if group[0][1] == (2, 1, 0))
+        # the HW and the check blocks of both functors at the hook (2, 1)
+        (group,) = [group for group in space_groups(TENSOR, ((3, [3]),))
+                    if group[0][1] == (2, 1, 0) and not group[0][0].hopf.odd]
+        assert len(group) == 4
         with block_group(group):
             block_result(*group[0])
-            # the walk for the first block left the second one's rows
-            assert set(presentations._GROUP_ROWS) == {presentations._cache_token(*group[1])}
-            block_result(*group[1])
+            # the walk for the first block left the other blocks' rows
+            assert set(presentations._GROUP_ROWS) == {
+                presentations._cache_token(*block) for block in group[1:]}
+            for block in group[1:]:
+                block_result(*block)
             assert presentations._GROUP_ROWS == {}
         assert presentations._GROUP == presentations._GROUP_ROWS == {}
 
@@ -768,11 +800,11 @@ class TestBlockGroups:
         assert presentations._GROUP == presentations._GROUP_ROWS == {}
 
     def test_a_group_holds_one_space(self):
-        hw, check = space_groups(SYM, ((2, 3),))[-2:]
-        assert hw[0][0].highest_weight and not check[0][0].highest_weight
+        first, last = space_groups(SYM, ((2, range(4)),))[-2:]
+        assert first[0][1] != last[-1][1]
         with pytest.raises(ValueError):
-            with block_group([hw[0], check[1]]):
-                relation_rows(*hw[0])
+            with block_group([first[0], last[-1]]):
+                relation_rows(*first[0])
 
 
 class TestSignBlockRows:

@@ -9,6 +9,7 @@ from hopfquotients.exactla import rank_distinct
 from hopfquotients.hopf import SYM, TENSOR, HopfAlgebra
 from hopfquotients.presentations import _CONJUGATION_DEFECT, RELATIONS
 from hopfquotients.tensorspace import (
+    _kernel,
     adjoint,
     apply_atom,
     apply_expr,
@@ -20,6 +21,7 @@ SYM2 = HopfAlgebra(SYM, 2)
 TEN2 = HopfAlgebra(TENSOR, 2)
 TEN2_ODD = HopfAlgebra(TENSOR, 2, odd=True)
 TEN3 = HopfAlgebra(TENSOR, 3)
+TEN3_ODD = HopfAlgebra(TENSOR, 3, odd=True)
 SYM3 = HopfAlgebra(SYM, 3)
 
 
@@ -33,10 +35,11 @@ def images(H, exprs, tuples, basis):
     {image tuple: {column: coeff}}, zeros dropped: apply_expr with the
     identity support over basis, a weight block that holds the images."""
     out = [{} for _ in exprs]
-    for (i, r), cols in apply_expr(H, exprs, tuples, identity(basis)).items():
-        cols = {j: c for j, c in cols.items() if c}
-        if cols:
-            out[r][basis[i]] = cols
+    for r, sums in enumerate(apply_expr(H, exprs, tuples, identity(basis))):
+        for i, cols in sums.items():
+            cols = {j: c for j, c in cols.items() if c}
+            if cols:
+                out[r][basis[i]] = cols
     return out
 
 
@@ -330,10 +333,37 @@ class TestSlotOperations:
         assert apply_word(SYM2, (), t) == {t: 1}
 
 
+class TestKernels:
+    """swap, S and U each go through one kernel per atom (_kernel), in
+    the walk and through apply_atom alike; on every tuple of the rank-3
+    weight blocks to degree 4 each gives the image of the reference map,
+    whose swap sign is that of the permutation of slots."""
+
+    ATOMS = [("swap", i, j) for i in range(3) for j in range(3) if i != j] + [
+        (kind, i) for kind in ("S", "U") for i in range(3)]
+
+    @pytest.mark.parametrize("H", [TEN3, TEN3_ODD, SYM3], ids=["even", "odd", "sym"])
+    def test_kernels_match_the_reference_maps(self, H):
+        across_odd_middle = 0
+        for weight in iproduct(range(5), repeat=3):
+            if sum(weight) > 4:
+                continue
+            for t in tensor_basis(replace(H, odd=False), 3, weight):
+                for atom in self.ATOMS:
+                    want = ref.apply_atom(H, atom, t)
+                    image = _kernel(H, atom)(t)
+                    assert ({} if image is None else dict((image,))) == want, (atom, t)
+                    assert apply_atom(H, atom, t) == want, (atom, t)
+                # the middle slot's parity enters the sign of swap(0, 2)
+                if H.odd and len(t[1]) % 2 and (len(t[0]) + len(t[2])) % 2:
+                    across_odd_middle += 1
+        assert across_odd_middle > 0 if H.odd else across_odd_middle == 0
+
+
 class TestApplyExprColumns:
     """apply_expr takes a list of columns and a support, and returns the
-    row sums {(vector, sum): {column: coeff}} of the vectors that hold
-    the image tuples."""
+    row sums, one {vector: {column: coeff}} per sum, of the vectors that
+    hold the image tuples."""
 
     SWAP = ((1, (("swap", 0, 1),)),)
     BLOCK = tensor_basis(TEN2, 2, (1, 1))
@@ -342,17 +372,18 @@ class TestApplyExprColumns:
         t, u = ((0,), (1,)), ((1,), (0,))
         index = {v: i for i, v in enumerate(self.BLOCK)}
         sums = apply_expr(TEN2, (self.SWAP,), [t, u, t], identity(self.BLOCK))
-        assert sums == {(index[u], 0): {0: 1, 2: 1}, (index[t], 0): {1: 1}}
+        assert sums == [{index[u]: {0: 1, 2: 1}, index[t]: {1: 1}}]
 
     def test_no_columns_give_empty_images(self):
-        assert apply_expr(TEN2, (self.SWAP, ((1, ()),)), [], identity(self.BLOCK)) == {}
+        assert apply_expr(TEN2, (self.SWAP, ((1, ()),)), [], identity(self.BLOCK)) == [{}, {}]
 
     def test_cancelled_terms_are_dropped(self):
         # the sums keep a cancelled term as a zero; relation_rows drops it
         basis = tensor_basis(TEN2, 2, (2, 1))
         cancelled = ((1, (("swap", 0, 1), ("S", 0))), (-1, (("swap", 0, 1), ("S", 0))))
         sums = apply_expr(TEN2, (cancelled,), basis, identity(basis))
-        assert sums and not any(c for cols in sums.values() for c in cols.values())
+        (rows,) = sums
+        assert rows and not any(c for cols in rows.values() for c in cols.values())
 
 
 class TestAdjoints:
